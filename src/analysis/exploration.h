@@ -28,6 +28,7 @@
 // which the parallel level engine can mirror round for round.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "analysis/spill.h"
+#include "petri/compiled_net.h"
 
 namespace pnut::analysis {
 
@@ -279,5 +281,36 @@ std::size_t drive_frontier_bfs(Frontier& frontier, EdgeCsr<EdgeT>& edges,
   }
   return completed;
 }
+
+namespace detail {
+
+/// Would firing `t` from marking `tokens` overflow any capacity?
+inline bool overflows_capacity(const CompiledNet& net, std::span<const TokenCount> tokens,
+                               TransitionId t) {
+  for (const Arc& a : net.outputs(t)) {
+    const auto capacity = net.capacity(a.place);
+    if (!capacity) continue;
+    TokenCount after = tokens[a.place.value] + a.weight;
+    // Tokens consumed from the same place by this firing offset the gain.
+    for (const Arc& in : net.inputs(t)) {
+      if (in.place == a.place) after -= std::min(after, in.weight);
+    }
+    if (after > *capacity) return true;
+  }
+  return false;
+}
+
+/// Deterministic per-(state, transition, sample) RNG seed for stochastic
+/// action sampling. Every untimed explorer must draw identical outcome
+/// sequences, so the mixing function is defined once here. `state` is the
+/// state's canonical (BFS discovery order) index.
+[[nodiscard]] inline std::uint64_t action_sample_seed(std::uint32_t state,
+                                                      std::uint32_t transition,
+                                                      std::size_t sample) {
+  return 0x9e3779b97f4a7c15ULL ^ (state * 0x100000001b3ULL) ^
+         (static_cast<std::uint64_t>(transition) << 32) ^ sample;
+}
+
+}  // namespace detail
 
 }  // namespace pnut::analysis

@@ -8,12 +8,9 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/parallel_support.h"
-#include "analysis/reach_encode.h"
 #include "petri/rng.h"
 
 namespace pnut::analysis {
@@ -36,7 +33,7 @@ struct Item {
   std::uint32_t slot;
 };
 
-/// First batch-local sighting of a state minted this level (plain nets):
+/// First batch-local sighting of a state minted this level:
 /// the only places the sequential seal walk has to look at. Its words are
 /// captured next to it (Batch::fresh_words) while they are hot in the
 /// worker's scratch, so sealing copies linearly instead of chasing shard
@@ -59,54 +56,6 @@ struct Shard {
 using detail::SlotSet;
 using detail::WorkerPool;
 
-/// Dense interning of DataContexts for interpreted nets: a provisional
-/// state is [marking | context id], so context identity (which the word
-/// encoding is injective over) stands in for the encoded data words until
-/// the seal pass encodes them canonically. One table, one mutex — the
-/// interpreted models this serves are orders of magnitude smaller than the
-/// uninterpreted stress graphs.
-class ContextTable {
- public:
-  std::uint32_t intern(const DataContext& d) {
-    std::string key = serialize(d);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] =
-        index_.try_emplace(std::move(key), static_cast<std::uint32_t>(by_id_.size()));
-    if (inserted) by_id_.push_back(d);
-    return it->second;
-  }
-
-  /// Seal phase only (workers idle — joined before seal reads).
-  [[nodiscard]] const DataContext& operator[](std::size_t id) const { return by_id_[id]; }
-
- private:
-  /// Injective byte serialization (length-prefixed names, fixed-width
-  /// values) so the hash map key equality is exactly context equality.
-  static std::string serialize(const DataContext& d) {
-    std::string key;
-    auto put = [&key](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) key.push_back(static_cast<char>(v >> (8 * i)));
-    };
-    put(d.scalars().size());
-    for (const auto& [name, value] : d.scalars()) {
-      put(name.size());
-      key += name;
-      put(static_cast<std::uint64_t>(value));
-    }
-    for (const auto& [name, values] : d.tables()) {
-      put(name.size());
-      key += name;
-      put(values.size());
-      for (const std::int64_t v : values) put(static_cast<std::uint64_t>(v));
-    }
-    return key;
-  }
-
-  std::mutex mutex_;
-  std::unordered_map<std::string, std::uint32_t> index_;
-  std::vector<DataContext> by_id_;
-};
-
 /// One batch of consecutive parents and the flat edge segment its worker
 /// produced — the "per-worker EdgeCsr segment" that the seal pass stitches
 /// into the single canonical pool.
@@ -116,7 +65,7 @@ struct Batch {
   std::vector<Item> items;                 ///< all parents' edges, in order
   std::vector<std::uint32_t> item_count;   ///< per parent
   std::vector<std::uint8_t> over;          ///< per parent: place bound blew here
-  std::vector<Candidate> candidates;       ///< fast seal: fresh-state sightings
+  std::vector<Candidate> candidates;       ///< fresh-state sightings
   std::vector<std::uint32_t> fresh_words;  ///< candidate words, back-to-back
   /// A model callback (predicate/action) threw while expanding parent
   /// `error_parent`; the parent's partial output was rolled back. The seal
@@ -130,9 +79,9 @@ struct Batch {
 struct WorkerScratch {
   std::vector<std::uint32_t> words;     ///< provisional state under construction
   std::vector<std::uint64_t> seen_ids;  ///< successor dedup per action firing
-  SlotSet seen_slots;                   ///< candidate filter (fast seal)
-  DataFrame parent_frame;               ///< VM path: decoded parent data
-  DataFrame cand_frame;                 ///< VM path: per-sample action target
+  SlotSet seen_slots;                   ///< candidate filter
+  DataFrame parent_frame;               ///< decoded parent data (nets with actions)
+  DataFrame cand_frame;                 ///< per-sample action target
   expr::VmScratch vm;
 };
 
@@ -144,13 +93,9 @@ class ParallelExplorer {
         options_(options),
         threads_(threads),
         num_places_(net_->num_places()),
-        initial_data_(net_->net().initial_data()),
         track_data_(net_->net_has_actions()),
         program_(std::move(program)),
-        vm_mode_(program_ != nullptr && track_data_),
-        prov_width_(num_places_ +
-                    (vm_mode_ ? program_->schema().encoded_words()
-                              : (track_data_ ? 1 : 0))) {
+        width_(num_places_ + (track_data_ ? program_->schema().encoded_words() : 0)) {
     // Shard count: a few shards per worker keeps striped-lock contention
     // low; power of two so the pick is a mask over the hash's top bits
     // (the intern tables consume the low bits).
@@ -159,16 +104,9 @@ class ParallelExplorer {
       num_shards_ *= 2;
     }
     shards_ = std::vector<Shard>(num_shards_);
-    for (Shard& s : shards_) s.store = StateStore(prov_width_);
+    for (Shard& s : shards_) s.store = StateStore(width_);
 
     if (options_.spill.max_resident_bytes != 0) {
-      if (track_data_ && !vm_mode_) {
-        // Same rule the sequential builder enforces: the exact seal's
-        // layout widening rewrites the canonical arena.
-        throw std::invalid_argument(
-            "spill: unsupported for AST-interpreted nets with actions "
-            "(the expression-VM path spills fine)");
-      }
       // Budget split: 3/8 canonical arena (wired in bootstrap), 3/8 across
       // the provisional shards, 2/8 edge pool. Shards have no frontier to
       // protect — every access is mutex-guarded, so any sealed segment may
@@ -207,12 +145,7 @@ class ParallelExplorer {
       // next expand reads only [level_end, ...), so segments below this
       // floor can spill without any lock-free reader ever faulting.
       canonical_.set_spill_floor(level_end);
-      // The VM path needs no context re-encoding at seal (provisional
-      // words ARE the canonical words), so it rides the fast seal.
-      const bool keep_going = track_data_ && !vm_mode_
-                                  ? seal_exact(batches)
-                                  : seal_fast(batches, level_begin);
-      if (!keep_going) break;  // truncated or unbounded: stop, keep the prefix
+      if (!seal(batches, level_begin)) break;  // a stop rule fired: keep the prefix
       num_expanded_ = level_end;  // the whole level sealed cleanly
     }
     edges_.finalize(canonical_.size());
@@ -220,8 +153,6 @@ class ParallelExplorer {
     ParallelReachResult result;
     result.store = std::move(canonical_);
     result.edges = std::move(edges_);
-    result.data = std::move(data_);
-    result.track_data = track_data_;
     result.status = status_;
     result.num_expanded = num_expanded_;
     for (const Shard& s : shards_) {
@@ -243,51 +174,24 @@ class ParallelExplorer {
   }
 
   void bootstrap() {
-    if (vm_mode_) {
-      // Slot path: canonical and provisional words coincide — the marking
-      // followed by the schema-encoded frame, width frozen up front.
-      canonical_ = StateStore(prov_width_);
-      configure_canonical_spill();
-      seal_scratch_.resize(prov_width_);
-      const Marking initial = Marking::initial(net_->net());
-      std::memcpy(seal_scratch_.data(), initial.tokens().data(),
-                  num_places_ * sizeof(std::uint32_t));
-      program_->schema().encode(program_->initial_frame(),
-                                seal_scratch_.data() + num_places_);
-      canonical_.intern(seal_scratch_);
-      const std::uint64_t h = hash_words(seal_scratch_.data(), prov_width_);
-      Shard& shard = shards_[shard_of(h)];
-      const auto r = shard.store.intern(seal_scratch_, h);
-      shard.canonical.resize(shard.store.size(), kUnassigned);
-      shard.canonical[r.index] = 0;
-      return;
-    }
-
-    if (track_data_) layout_.init(initial_data_);
-    const std::size_t width = num_places_ + (track_data_ ? layout_.words() : 0);
-    canonical_ = StateStore(width);
+    // Provisional and canonical words coincide: the marking followed by
+    // the schema-encoded frame, width frozen up front.
+    canonical_ = StateStore(width_);
     configure_canonical_spill();
-    seal_scratch_.resize(width);
-
+    std::vector<std::uint32_t> initial_words(width_);
     const Marking initial = Marking::initial(net_->net());
-    std::memcpy(seal_scratch_.data(), initial.tokens().data(),
+    std::memcpy(initial_words.data(), initial.tokens().data(),
                 num_places_ * sizeof(std::uint32_t));
-    if (track_data_) layout_.encode(initial_data_, seal_scratch_.data() + num_places_);
-    canonical_.intern(seal_scratch_);
-
+    if (track_data_) {
+      program_->schema().encode(program_->initial_frame(),
+                                initial_words.data() + num_places_);
+    }
+    canonical_.intern(initial_words);
     // The provisional twin, so successors that return to the initial state
     // dedup against it.
-    std::vector<std::uint32_t> prov(prov_width_);
-    std::memcpy(prov.data(), initial.tokens().data(), num_places_ * sizeof(std::uint32_t));
-    if (track_data_) {
-      const std::uint32_t id = contexts_.intern(initial_data_);
-      prov[num_places_] = id;
-      data_.push_back(initial_data_);
-      data_id_.push_back(id);
-    }
-    const std::uint64_t h = hash_words(prov.data(), prov_width_);
+    const std::uint64_t h = hash_words(initial_words.data(), width_);
     Shard& shard = shards_[shard_of(h)];
-    const auto r = shard.store.intern(prov, h);
+    const auto r = shard.store.intern(initial_words, h);
     shard.canonical.resize(shard.store.size(), kUnassigned);
     shard.canonical[r.index] = 0;
   }
@@ -316,7 +220,7 @@ class ParallelExplorer {
 
     if (worker_scratch_.empty()) {
       worker_scratch_.resize(threads_);
-      for (WorkerScratch& scratch : worker_scratch_) scratch.words.resize(prov_width_);
+      for (WorkerScratch& scratch : worker_scratch_) scratch.words.resize(width_);
     }
     if (num_batches <= 1) {
       for (Batch& batch : batches) expand_batch(batch, worker_scratch_[0]);
@@ -367,46 +271,33 @@ class ParallelExplorer {
     }
   }
 
-  /// Predicate test on the expand path: bytecode on the worker's frame
-  /// when the net compiled, the AST hook otherwise.
-  [[nodiscard]] bool predicate_holds(TransitionId t, const DataContext& d,
-                                     WorkerScratch& scratch) {
-    if (program_ != nullptr) {
-      const expr::Code* code = program_->predicate(t);
-      if (code == nullptr) return true;
-      const DataFrame& frame =
-          vm_mode_ ? scratch.parent_frame : program_->initial_frame();
-      return expr::vm_eval(*code, frame, nullptr, scratch.vm) != 0;
-    }
-    return !net_->has_predicate(t) || net_->predicate(t)(d);
+  /// Predicate test on the expand path, on the worker's decoded frame.
+  [[nodiscard]] bool predicate_holds(TransitionId t, WorkerScratch& scratch) const {
+    const expr::Code* code = program_ != nullptr ? program_->predicate(t) : nullptr;
+    if (code == nullptr) return true;
+    const DataFrame& frame = track_data_ ? scratch.parent_frame : program_->initial_frame();
+    return expr::vm_eval(*code, frame, nullptr, scratch.vm) != 0;
   }
 
   /// One parent, mirroring the sequential expansion loop firing for firing.
-  /// Reads only sealed data (canonical arena, data_, data_id_ — frozen
-  /// during the expand phase); writes only the batch and the shards.
+  /// Reads only sealed data (the canonical arena, frozen during the expand
+  /// phase); writes only the batch and the shards.
   void expand_parent(std::uint32_t p, std::uint32_t slot_in_batch, Batch& batch,
                      WorkerScratch& scratch) {
     // Copy, per the intern contract: the canonical span itself stays valid
     // during expansion, but the provisional words must be mutable anyway.
     const auto parent = canonical_.state(p);
-    if (vm_mode_) {
-      // Canonical and provisional words coincide: full-width copy, then
-      // decode the parent's data words into the worker's frame.
-      std::copy_n(parent.begin(), prov_width_, scratch.words.begin());
-      program_->schema().decode(scratch.words.data() + num_places_,
-                                scratch.parent_frame);
-    } else {
-      std::copy_n(parent.begin(), num_places_, scratch.words.begin());
-      if (track_data_) scratch.words[num_places_] = data_id_[p];
+    std::copy_n(parent.begin(), width_, scratch.words.begin());
+    if (track_data_) {
+      program_->schema().decode(scratch.words.data() + num_places_, scratch.parent_frame);
     }
-    const DataContext& d = track_data_ && !vm_mode_ ? data_[p] : initial_data_;
     const std::span<const TokenCount> tokens(scratch.words.data(), num_places_);
 
     const auto items_before = static_cast<std::uint32_t>(batch.items.size());
     for (std::uint32_t ti = 0; ti < net_->num_transitions(); ++ti) {
       const TransitionId t(ti);
       if (!net_->tokens_available(tokens, t)) continue;
-      if (!predicate_holds(t, d, scratch)) continue;
+      if (!predicate_holds(t, scratch)) continue;
       if (options_.respect_capacities &&
           detail::overflows_capacity(*net_, tokens, t)) {
         continue;
@@ -439,11 +330,12 @@ class ParallelExplorer {
 
       if (!net_->has_action(t)) {
         intern_successor(scratch, ti, batch);
-      } else if (vm_mode_) {
-        // Stochastic action on the VM: same sample sequence as the
-        // sequential builder, deduplicated on the successor's interned
-        // identity — injective over the encoded words, so the kept set
-        // and its order match the sequential encoded-key dedup exactly.
+      } else {
+        // Stochastic action: same sample sequence as the sequential
+        // builder (seeds are a pure function of the canonical parent id),
+        // deduplicated on the successor's interned identity — injective
+        // over the encoded words, so the kept set and its order match the
+        // sequential encoded-key dedup exactly.
         scratch.seen_ids.clear();
         const std::size_t samples = std::max<std::size_t>(options_.irand_fanout_limit, 1);
         for (std::size_t k = 0; k < samples; ++k) {
@@ -463,25 +355,6 @@ class ParallelExplorer {
         // Restore the parent's data words for the next transition.
         program_->schema().encode(scratch.parent_frame,
                                   scratch.words.data() + num_places_);
-      } else {
-        // Stochastic action: identical sample sequence to the sequential
-        // builder (seeds are a pure function of the canonical parent id),
-        // deduplicated on context identity, first occurrence kept.
-        scratch.seen_ids.clear();
-        const std::size_t samples = std::max<std::size_t>(options_.irand_fanout_limit, 1);
-        for (std::size_t k = 0; k < samples; ++k) {
-          DataContext candidate = d;
-          Rng rng(detail::action_sample_seed(p, ti, k));
-          net_->action(t)(candidate, rng);
-          const std::uint32_t id = contexts_.intern(candidate);
-          if (std::find(scratch.seen_ids.begin(), scratch.seen_ids.end(), id) ==
-              scratch.seen_ids.end()) {
-            scratch.seen_ids.push_back(id);
-            scratch.words[num_places_] = id;
-            intern_successor(scratch, ti, batch);
-          }
-        }
-        scratch.words[num_places_] = data_id_[p];
       }
 
       for (const Arc& a : net_->outputs(t)) scratch.words[a.place.value] -= a.weight;
@@ -494,7 +367,7 @@ class ParallelExplorer {
   /// Intern scratch words into their hash shard; provisional identity only.
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> intern_provisional(
       const std::vector<std::uint32_t>& words) {
-    const std::uint64_t h = hash_words(words.data(), prov_width_);
+    const std::uint64_t h = hash_words(words.data(), width_);
     const auto shard_idx = static_cast<std::uint32_t>(shard_of(h));
     Shard& shard = shards_[shard_idx];
     std::uint32_t slot;
@@ -506,14 +379,13 @@ class ParallelExplorer {
   }
 
   /// Record one edge to a provisional successor, capturing the candidate
-  /// for the fast seal when this is its first batch-local sighting. Slots
+  /// for the seal when this is its first batch-local sighting. Slots
   /// >= the sealed-prefix size were minted this level; `shard.canonical`
   /// is only resized at seal, so its size is stable through expansion.
   void record_item(WorkerScratch& scratch, std::uint32_t ti, std::uint32_t shard_idx,
                    std::uint32_t slot, Batch& batch) {
     batch.items.push_back(Item{ti, shard_idx, slot});
-    const bool fast_seal = !track_data_ || vm_mode_;
-    if (fast_seal && slot >= shards_[shard_idx].canonical.size() &&
+    if (slot >= shards_[shard_idx].canonical.size() &&
         scratch.seen_slots.insert((static_cast<std::uint64_t>(shard_idx) << 32) | slot)) {
       batch.candidates.push_back(
           Candidate{slot, shard_idx, static_cast<std::uint32_t>(batch.items.size() - 1)});
@@ -529,21 +401,15 @@ class ParallelExplorer {
 
   // --- seal ------------------------------------------------------------------
   //
-  // Two implementations of the same sequential replay semantics:
-  //
-  //  * seal_fast — plain nets (no data tracking). Phase A walks only the
-  //    candidate lists (fresh-state sightings, a small fraction of all
-  //    edges) in canonical order, assigning ids and appending captured
-  //    words to the canonical arena; the stop rules fire at exactly the
-  //    sequential positions, falling back to fill_edges_prefix for the
-  //    truncated edge prefix. Phase B bulk-opens the level's CSR rows and
-  //    translates the edge segments to canonical ids on the worker pool.
-  //
-  //  * seal_exact — interpreted nets (contexts must be layout-encoded and
-  //    may widen the layout mid-seal). Walks every item sequentially;
-  //    these models are orders of magnitude smaller, so simplicity wins.
+  // Replays the level in sequential discovery order. Phase A walks only the
+  // candidate lists (fresh-state sightings, a small fraction of all edges)
+  // in canonical order, assigning ids and appending captured words to the
+  // canonical arena; the stop rules fire at exactly the sequential
+  // positions, falling back to fill_edges_prefix for the truncated edge
+  // prefix. Phase B bulk-opens the level's CSR rows and translates the edge
+  // segments to canonical ids on the worker pool.
 
-  bool seal_fast(std::vector<Batch>& batches, std::uint32_t level_begin) {
+  bool seal(std::vector<Batch>& batches, std::uint32_t level_begin) {
     for (Shard& s : shards_) s.canonical.resize(s.store.size(), kUnassigned);
 
     // Phase A: ordered discovery over the candidate lists.
@@ -578,7 +444,7 @@ class ParallelExplorer {
           std::uint32_t& cid = shards_[c.shard].canonical[c.slot];
           if (cid == kUnassigned) {
             cid = canonical_.append_unchecked(
-                {batch.fresh_words.data() + cand * prov_width_, prov_width_});
+                {batch.fresh_words.data() + cand * width_, width_});
             if (canonical_.size() > options_.max_states) {
               status_ = ReachStatus::kTruncated;
               num_expanded_ = batch.first_parent + i;  // parent i stops mid-row
@@ -663,104 +529,22 @@ class ParallelExplorer {
     }
   }
 
-  bool seal_exact(std::vector<Batch>& batches) {
-    for (Shard& s : shards_) s.canonical.resize(s.store.size(), kUnassigned);
-    std::size_t level_edges = 0;
-    for (const Batch& batch : batches) level_edges += batch.items.size();
-    edges_.reserve(edges_.num_edges() + level_edges, canonical_.size());
-    for (Batch& batch : batches) {
-      const Item* item = batch.items.data();
-      for (std::uint32_t i = 0; i < batch.num_parents; ++i) {
-        // Canonical-position stop poll; see seal_fast. The stopping
-        // parent's row is opened and left empty, as sequentially.
-        if ((batch.first_parent + i) % kStopCheckStride == 0) {
-          if (const StopToken::Reason r = options_.stop.poll();
-              r != StopToken::Reason::kNone) {
-            status_ = stop_status(r);
-            num_expanded_ = batch.first_parent + i;
-            edges_.begin_source(batch.first_parent + i);
-            return false;
-          }
-        }
-        if (batch.error && i == batch.error_parent) {
-          std::rethrow_exception(batch.error);  // see seal_fast: same rule
-        }
-        edges_.begin_source(batch.first_parent + i);
-        for (std::uint32_t n = 0; n < batch.item_count[i]; ++n, ++item) {
-          std::uint32_t& cid = shards_[item->shard].canonical[item->slot];
-          const bool fresh = cid == kUnassigned;
-          if (fresh) cid = seal_new_state(*item);
-          edges_.add({TransitionId(item->transition), cid});
-          if (fresh && canonical_.size() > options_.max_states) {
-            status_ = ReachStatus::kTruncated;
-            num_expanded_ = batch.first_parent + i;
-            return false;
-          }
-        }
-        if (batch.over[i] != 0) {
-          status_ = ReachStatus::kUnbounded;
-          num_expanded_ = batch.first_parent + i;
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  /// First discovery of a provisional state (exact path): append it to the
-  /// canonical store, encoding its context at the evolving layout, and
-  /// return its canonical id — the exact id the sequential FIFO builder
-  /// assigns.
-  std::uint32_t seal_new_state(const Item& item) {
-    const Shard& shard = shards_[item.shard];
-    const auto words = shard.store.state(item.slot);
-    std::memcpy(seal_scratch_.data(), words.data(), num_places_ * sizeof(std::uint32_t));
-    const std::uint32_t ctx_id = words[num_places_];
-    const DataContext& ctx = contexts_[ctx_id];
-    if (!layout_.try_encode(ctx, seal_scratch_.data() + num_places_)) {
-      widen_layout(ctx);  // preserves seal_scratch_'s marking prefix
-      layout_.encode(ctx, seal_scratch_.data() + num_places_);
-    }
-    data_.push_back(ctx);
-    data_id_.push_back(ctx_id);
-    const auto r = canonical_.intern(seal_scratch_);
-    if (!r.inserted) {
-      throw std::logic_error(
-          "parallel exploration: distinct provisional states sealed identically");
-    }
-    return r.index;
-  }
-
-  /// An action introduced a new variable: widen and re-intern via the
-  /// logic shared with the sequential builder — and at the same discovery
-  /// point, since seal walks discoveries in canonical order.
-  void widen_layout(const DataContext& d) {
-    detail::widen_and_reintern(layout_, num_places_, d, canonical_, data_, seal_scratch_);
-  }
-
   // --- members ---------------------------------------------------------------
 
   std::shared_ptr<const CompiledNet> net_;
   ReachOptions options_;
   unsigned threads_;
   std::size_t num_places_;
-  DataContext initial_data_;
-  bool track_data_;
-  std::shared_ptr<const expr::NetProgram> program_;  ///< bytecode (may be null)
-  bool vm_mode_;  ///< slot-frame data path: program_ covers an action-bearing net
-  std::size_t prov_width_;
+  bool track_data_;  ///< data words join the state (net_has_actions())
+  std::shared_ptr<const expr::NetProgram> program_;  ///< null for plain nets
+  std::size_t width_;  ///< state words: marking + encoded data
 
   std::size_t num_shards_ = 0;
   std::vector<Shard> shards_;
-  ContextTable contexts_;
 
-  detail::DataLayout layout_;
   StateStore canonical_;
   EdgeCsr<ReachabilityGraph::Edge> edges_;
-  std::vector<DataContext> data_;       ///< canonical id -> context
-  std::vector<std::uint32_t> data_id_;  ///< canonical id -> context-table id
-  std::vector<std::uint32_t> seal_scratch_;
-  std::vector<std::uint32_t> row_counts_;   ///< reused per level (fast seal)
+  std::vector<std::uint32_t> row_counts_;   ///< reused per level
   std::shared_ptr<detail::SpillDir> spill_dir_;  ///< set iff spilling enabled
   std::vector<WorkerScratch> worker_scratch_;  ///< persistent across levels
   std::optional<WorkerPool> pool_;          ///< lazily spawned, reused per level

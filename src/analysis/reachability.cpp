@@ -6,11 +6,9 @@
 #include <thread>
 
 #include "analysis/parallel_exploration.h"
-#include "analysis/reach_encode.h"
 
 namespace pnut::analysis {
 
-using detail::DataLayout;
 using detail::overflows_capacity;
 
 namespace {
@@ -40,16 +38,12 @@ void ReachabilityGraph::explore(ReachOptions options) {
   }
   // Data words join the intern key only when an action can change them.
   track_data_ = net_->net_has_actions();
-  // The bytecode fast path applies when every hook is expression-backed.
-  if (options.use_expr_vm && net_->net_is_interpreted()) {
-    program_ = expr::NetProgram::compile(net_->net());
-  }
-  if (options.spill.max_resident_bytes != 0 && track_data_ && program_ == nullptr) {
-    // The AST/DataContext path widens its layout mid-run, which rebuilds
-    // the whole arena — incompatible with spilled (immutable) segments.
-    throw std::invalid_argument(
-        "spill: unsupported for AST-interpreted nets with actions "
-        "(the expression-VM path spills fine)");
+  // Every hook runs as bytecode; a net whose hooks do not all compile is
+  // rejected up front, before any storage (or spill directory) exists.
+  if (net_->net_has_hooks()) {
+    std::string error;
+    program_ = expr::NetProgram::compile(net_->net(), &error);
+    if (program_ == nullptr) throw std::invalid_argument("reachability: " + error);
   }
 
   if (threads > 1) {
@@ -57,19 +51,13 @@ void ReachabilityGraph::explore(ReachOptions options) {
         explore_reachability_parallel(net_, options, threads, program_);
     store_ = std::move(result.store);
     edges_ = std::move(result.edges);
-    data_ = std::move(result.data);
-    track_data_ = result.track_data;
     status_ = result.status;
     num_expanded_ = result.num_expanded;
     aux_peak_bytes_ = result.aux_peak_bytes;
     aux_spill_engaged_ = result.aux_spill_engaged;
     return;
   }
-  if (program_ != nullptr) {
-    explore_sequential_vm(options);
-  } else {
-    explore_sequential(options);
-  }
+  explore_sequential(options);
 }
 
 void ReachabilityGraph::configure_spill_sequential(const ReachOptions& options) {
@@ -86,11 +74,8 @@ void ReachabilityGraph::configure_spill_sequential(const ReachOptions& options) 
 
 void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
   const std::size_t num_places = net_->num_places();
-  const DataContext initial_data = net_->net().initial_data();
-
-  DataLayout layout;
-  if (track_data_) layout.init(initial_data);
-  std::size_t width = num_places + (track_data_ ? layout.words() : 0);
+  const std::size_t data_words = track_data_ ? program_->schema().encoded_words() : 0;
+  const std::size_t width = num_places + data_words;
   store_ = StateStore(width);
   configure_spill_sequential(options);
 
@@ -99,31 +84,47 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
   // applied, interned, and undone — no Marking, key string, or successor
   // vector is allocated per edge.
   std::vector<std::uint32_t> scratch(width);
+  DataFrame parent_frame;
+  DataFrame cand_frame;
+  expr::VmScratch vm;
+  // What predicates read: the parent's decoded data, or the constant
+  // initial data of an action-free net (a plain net has no predicates).
+  const DataFrame& frame =
+      track_data_ || program_ == nullptr ? parent_frame : program_->initial_frame();
 
-  /// An action introduced a new variable: widen the layout and re-intern
-  /// every state seen so far (shared with the parallel seal — the marking
-  /// words of the in-flight scratch survive the resize).
-  const auto widen_layout = [&](const DataContext& d) {
-    detail::widen_and_reintern(layout, num_places, d, store_, data_, scratch);
-    width = num_places + layout.words();
+  // Action-free nets have a constant data state, so each predicate has one
+  // truth value per run: memoize it at its first evaluation (the only one
+  // that could raise an error, so memoizing moves no failure).
+  std::vector<std::int8_t> pred_memo;
+  if (!track_data_) pred_memo.assign(net_->num_transitions(), -1);
+  const auto predicate_holds = [&](TransitionId t) {
+    const expr::Code* code = program_ != nullptr ? program_->predicate(t) : nullptr;
+    if (code == nullptr) return true;
+    if (!track_data_) {
+      std::int8_t& memo = pred_memo[t.value];
+      if (memo < 0) memo = expr::vm_eval(*code, frame, nullptr, vm) != 0 ? 1 : 0;
+      return memo != 0;
+    }
+    return expr::vm_eval(*code, frame, nullptr, vm) != 0;
   };
 
   {
     const Marking initial = Marking::initial(net_->net());
     std::memcpy(scratch.data(), initial.tokens().data(),
                 num_places * sizeof(std::uint32_t));
-    if (track_data_) layout.encode(initial_data, scratch.data() + num_places);
+    if (track_data_) {
+      program_->schema().encode(program_->initial_frame(), scratch.data() + num_places);
+    }
     store_.intern(scratch);
-    if (track_data_) data_.push_back(initial_data);
   }
 
   Frontier frontier;
   frontier.push_back(0);
 
-  // Reused sampling buffers (interpreted transitions only).
-  std::vector<DataContext> outcomes;
+  // Reused outcome-dedup buffers (stochastic actions): distinct encoded
+  // data words, first occurrence kept.
   std::vector<std::vector<std::uint32_t>> outcome_keys;
-  std::vector<std::uint32_t> sample_key;
+  std::size_t num_outcomes = 0;
 
   num_expanded_ = drive_frontier_bfs(frontier, edges_, [&](std::uint32_t state) {
     // Canonical-position stop poll: expansion order is canonical id order
@@ -137,21 +138,18 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
     }
     // States before the BFS cursor are sealed; their segments may spill.
     store_.set_spill_floor(state);
-    // Copies: interning may grow the arena / data vector while we expand.
+    // Copies: interning may grow the arena while we expand.
     std::copy(store_.state(state).begin(), store_.state(state).end(), scratch.begin());
-    const DataContext parent_data = track_data_ ? data_[state] : DataContext{};
-    const DataContext& d = track_data_ ? parent_data : initial_data;
-    // Rebuilt per use: widen_layout may resize (and so move) scratch.
-    const auto tokens = [&] {
-      return std::span<const TokenCount>(scratch.data(), num_places);
-    };
+    if (track_data_) program_->schema().decode(scratch.data() + num_places, parent_frame);
+    const std::span<const TokenCount> tokens(scratch.data(), num_places);
 
     for (std::uint32_t ti = 0; ti < net_->num_transitions(); ++ti) {
       const TransitionId t(ti);
-      if (!net_->is_enabled(tokens(), t, d)) continue;
-      if (options.respect_capacities && overflows_capacity(*net_, tokens(), t)) continue;
+      if (!net_->tokens_available(tokens, t)) continue;
+      if (!predicate_holds(t)) continue;
+      if (options.respect_capacities && overflows_capacity(*net_, tokens, t)) continue;
 
-      // Fire in place (is_enabled guarantees no underflow); undone below.
+      // Fire in place (enablement guarantees no underflow); undone below.
       for (const Arc& a : net_->inputs(t)) scratch[a.place.value] -= a.weight;
       for (const Arc& a : net_->outputs(t)) scratch[a.place.value] += a.weight;
 
@@ -176,7 +174,6 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
         const auto interned = store_.intern(scratch);
         edges_.add(Edge{t, interned.index});
         if (interned.inserted) {
-          if (track_data_) data_.push_back(d);
           if (store_.size() > options.max_states) {
             status_ = ReachStatus::kTruncated;
             return false;
@@ -184,166 +181,7 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
           frontier.push_back(interned.index);
         }
       } else {
-        // Stochastic action: sample distinct outcomes (see header),
-        // deduplicated on their word encoding, first occurrence kept.
-        outcomes.clear();
-        outcome_keys.clear();
-        const std::size_t samples = std::max<std::size_t>(options.irand_fanout_limit, 1);
-        for (std::size_t k = 0; k < samples; ++k) {
-          DataContext candidate = d;
-          // Deterministic per (state, transition, sample) seed so graph
-          // construction is reproducible (shared with the parallel engine).
-          Rng rng(detail::action_sample_seed(state, ti, k));
-          net_->action(t)(candidate, rng);
-          sample_key.resize(layout.words());
-          if (!layout.try_encode(candidate, sample_key.data())) {
-            widen_layout(candidate);
-            for (std::size_t i = 0; i < outcomes.size(); ++i) {
-              outcome_keys[i].resize(layout.words());
-              layout.encode(outcomes[i], outcome_keys[i].data());
-            }
-            sample_key.resize(layout.words());
-            layout.encode(candidate, sample_key.data());
-          }
-          if (std::find(outcome_keys.begin(), outcome_keys.end(), sample_key) ==
-              outcome_keys.end()) {
-            outcome_keys.push_back(sample_key);
-            outcomes.push_back(std::move(candidate));
-          }
-        }
-
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          // The outcome's data words are already encoded in its dedup key.
-          std::memcpy(scratch.data() + num_places, outcome_keys[i].data(),
-                      outcome_keys[i].size() * sizeof(std::uint32_t));
-          const auto interned = store_.intern(scratch);
-          edges_.add(Edge{t, interned.index});
-          if (interned.inserted) {
-            data_.push_back(outcomes[i]);
-            if (store_.size() > options.max_states) {
-              status_ = ReachStatus::kTruncated;
-              return false;
-            }
-            frontier.push_back(interned.index);
-          }
-        }
-        // Restore the parent's data words for the next transition (the
-        // parent's stored words are valid at the current layout width even
-        // after a widen — the rebuild re-encoded them).
-        std::memcpy(scratch.data() + num_places, store_.state(state).data() + num_places,
-                    (width - num_places) * sizeof(std::uint32_t));
-      }
-
-      // Undo the firing.
-      for (const Arc& a : net_->outputs(t)) scratch[a.place.value] -= a.weight;
-      for (const Arc& a : net_->inputs(t)) scratch[a.place.value] += a.weight;
-    }
-    return true;
-  });
-
-  edges_.finalize(store_.size());
-}
-
-void ReachabilityGraph::explore_sequential_vm(const ReachOptions& options) {
-  const std::size_t num_places = net_->num_places();
-  const DataSchema& schema = program_->schema();
-  const DataFrame& initial_frame = program_->initial_frame();
-  const std::size_t data_words = track_data_ ? schema.encoded_words() : 0;
-  const std::size_t width = num_places + data_words;
-  store_ = StateStore(width);
-  configure_spill_sequential(options);
-
-  std::vector<std::uint32_t> scratch(width);
-  DataFrame parent_frame;
-  DataFrame cand_frame;
-  expr::VmScratch vm;
-
-  // Action-free nets have a constant data state, so each predicate has one
-  // truth value per run: memoize it at its first evaluation (same position
-  // the AST path first evaluates it, so errors surface identically).
-  std::vector<std::int8_t> pred_memo;
-  if (!track_data_) pred_memo.assign(net_->num_transitions(), -1);
-  const auto predicate_holds = [&](TransitionId t, const DataFrame& frame) {
-    const expr::Code* code = program_->predicate(t);
-    if (code == nullptr) return true;
-    if (!track_data_) {
-      std::int8_t& memo = pred_memo[t.value];
-      if (memo < 0) memo = expr::vm_eval(*code, frame, nullptr, vm) != 0 ? 1 : 0;
-      return memo != 0;
-    }
-    return expr::vm_eval(*code, frame, nullptr, vm) != 0;
-  };
-
-  {
-    const Marking initial = Marking::initial(net_->net());
-    std::memcpy(scratch.data(), initial.tokens().data(),
-                num_places * sizeof(std::uint32_t));
-    if (track_data_) schema.encode(initial_frame, scratch.data() + num_places);
-    store_.intern(scratch);
-  }
-
-  Frontier frontier;
-  frontier.push_back(0);
-
-  // Reused outcome-dedup buffers (stochastic actions): distinct encoded
-  // data words, first occurrence kept — the same rule as the AST path,
-  // just with no DataContext materialization anywhere.
-  std::vector<std::vector<std::uint32_t>> outcome_keys;
-  std::size_t num_outcomes = 0;
-
-  num_expanded_ = drive_frontier_bfs(frontier, edges_, [&](std::uint32_t state) {
-    // Canonical-position stop poll (see explore_sequential).
-    if (state % kStopCheckStride == 0) {
-      if (const StopToken::Reason r = options.stop.poll(); r != StopToken::Reason::kNone) {
-        status_ = stop_status(r);
-        return false;
-      }
-    }
-    // States before the BFS cursor are sealed; their segments may spill.
-    store_.set_spill_floor(state);
-    // Copies: interning may grow the arena while we expand.
-    std::copy(store_.state(state).begin(), store_.state(state).end(), scratch.begin());
-    if (track_data_) schema.decode(scratch.data() + num_places, parent_frame);
-    const DataFrame& frame = track_data_ ? parent_frame : initial_frame;
-    const std::span<const TokenCount> tokens(scratch.data(), num_places);
-
-    for (std::uint32_t ti = 0; ti < net_->num_transitions(); ++ti) {
-      const TransitionId t(ti);
-      if (!net_->tokens_available(tokens, t)) continue;
-      if (!predicate_holds(t, frame)) continue;
-      if (options.respect_capacities && overflows_capacity(*net_, tokens, t)) continue;
-
-      // Fire in place (enablement guarantees no underflow); undone below.
-      for (const Arc& a : net_->inputs(t)) scratch[a.place.value] -= a.weight;
-      for (const Arc& a : net_->outputs(t)) scratch[a.place.value] += a.weight;
-
-      // Same boundedness rule as the AST path, including the whole-marking
-      // check when expanding the initial state.
-      bool over = false;
-      if (state == 0) {
-        for (std::size_t i = 0; i < num_places; ++i) over |= scratch[i] > options.place_bound;
-      } else {
-        for (const Arc& a : net_->outputs(t)) {
-          over |= scratch[a.place.value] > options.place_bound;
-        }
-      }
-      if (over) {
-        status_ = ReachStatus::kUnbounded;
-        return false;
-      }
-
-      if (!net_->has_action(t)) {
-        // Deterministic data: the parent's data words are still in scratch.
-        const auto interned = store_.intern(scratch);
-        edges_.add(Edge{t, interned.index});
-        if (interned.inserted) {
-          if (store_.size() > options.max_states) {
-            status_ = ReachStatus::kTruncated;
-            return false;
-          }
-          frontier.push_back(interned.index);
-        }
-      } else {
+        // Stochastic action: sample distinct outcomes (see header).
         num_outcomes = 0;
         const std::size_t samples = std::max<std::size_t>(options.irand_fanout_limit, 1);
         for (std::size_t k = 0; k < samples; ++k) {
@@ -353,7 +191,7 @@ void ReachabilityGraph::explore_sequential_vm(const ReachOptions& options) {
           if (outcome_keys.size() <= num_outcomes) outcome_keys.emplace_back();
           std::vector<std::uint32_t>& key = outcome_keys[num_outcomes];
           key.resize(data_words);
-          schema.encode(cand_frame, key.data());
+          program_->schema().encode(cand_frame, key.data());
           bool seen = false;
           for (std::size_t i = 0; i < num_outcomes && !seen; ++i) {
             seen = outcome_keys[i] == key;
@@ -390,30 +228,24 @@ void ReachabilityGraph::explore_sequential_vm(const ReachOptions& options) {
 }
 
 std::int64_t ReachabilityGraph::transition_activity(std::size_t state, TransitionId t) const {
-  if (program_ != nullptr) {
-    if (!net_->tokens_available(tokens(state), t)) return 0;
-    const expr::Code* predicate = program_->predicate(t);
-    if (predicate == nullptr) return 1;
-    // The shared frame/scratch are the only mutable state on this const
-    // path; serialize them so cached graphs take concurrent queries.
-    std::lock_guard<std::mutex> lock(query_mutex_);
-    if (!track_data_) {
-      return expr::vm_eval(*predicate, program_->initial_frame(), nullptr,
-                           query_scratch_) != 0
-                 ? 1
-                 : 0;
-    }
-    program_->schema().decode(store_.state(state).data() + net_->num_places(),
-                              query_frame_);
-    return expr::vm_eval(*predicate, query_frame_, nullptr, query_scratch_) != 0 ? 1 : 0;
+  if (!net_->tokens_available(tokens(state), t)) return 0;
+  const expr::Code* predicate = program_ != nullptr ? program_->predicate(t) : nullptr;
+  if (predicate == nullptr) return 1;
+  // The shared frame/scratch are the only mutable state on this const
+  // path; serialize them so cached graphs take concurrent queries.
+  std::lock_guard<std::mutex> lock(query_mutex_);
+  if (!track_data_) {
+    return expr::vm_eval(*predicate, program_->initial_frame(), nullptr, query_scratch_) != 0
+               ? 1
+               : 0;
   }
-  const DataContext& d = track_data_ ? data_.at(state) : net_->net().initial_data();
-  return net_->is_enabled(tokens(state), t, d) ? 1 : 0;
+  program_->schema().decode(store_.state(state).data() + net_->num_places(), query_frame_);
+  return expr::vm_eval(*predicate, query_frame_, nullptr, query_scratch_) != 0 ? 1 : 0;
 }
 
 std::optional<std::int64_t> ReachabilityGraph::variable(std::size_t state,
                                                         std::string_view name) const {
-  if (program_ != nullptr && track_data_) {
+  if (track_data_) {
     // Per-state data lives as encoded slot words in the arena; read the
     // one scalar straight out of the state's word block.
     const auto slot = program_->schema().scalar_slot(name);
@@ -421,7 +253,7 @@ std::optional<std::int64_t> ReachabilityGraph::variable(std::size_t state,
     return program_->schema().decode_scalar(
         store_.state(state).data() + net_->num_places(), *slot);
   }
-  const DataContext& d = track_data_ ? data_.at(state) : net_->net().initial_data();
+  const DataContext& d = net_->net().initial_data();
   if (d.has(name)) return d.get(name);
   return std::nullopt;
 }
@@ -440,24 +272,7 @@ void ReachabilityGraph::for_each_successor(
 }
 
 std::size_t ReachabilityGraph::memory_bytes() const {
-  std::size_t bytes = store_.memory_bytes() + edges_.memory_bytes();
-  // Interpreted nets keep one DataContext per state for variable() and
-  // action sampling; estimate the map nodes (~3 pointers + color + payload
-  // per rb-tree node) so the reported bytes/state stays honest about the
-  // per-state allocations that remain.
-  constexpr std::size_t kMapNodeOverhead = 64;
-  bytes += data_.capacity() * sizeof(DataContext);
-  for (const DataContext& d : data_) {
-    for (const auto& [name, value] : d.scalars()) {
-      (void)value;
-      bytes += kMapNodeOverhead + name.capacity();
-    }
-    for (const auto& [name, values] : d.tables()) {
-      bytes += kMapNodeOverhead + name.capacity() +
-               values.capacity() * sizeof(std::int64_t);
-    }
-  }
-  return bytes;
+  return store_.memory_bytes() + edges_.memory_bytes();
 }
 
 std::vector<std::size_t> ReachabilityGraph::deadlock_states() const {

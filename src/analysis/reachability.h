@@ -15,15 +15,21 @@
 // over those flat arrays, which is what lets `max_states` in the millions
 // fit in memory and cache.
 //
-// Interpreted-net caveat: an action calling `irand` makes the data
-// successor nondeterministic, and actions are opaque functions that cannot
-// be enumerated symbolically. The builder samples each stochastic action
-// `irand_fanout_limit` times with distinct deterministic seeds and adds one
-// successor per distinct data outcome — exact for deterministic actions,
-// high-coverage sampling for small irand ranges (the paper's models draw
-// from ranges of size <= 5). The status never claims completeness it does
-// not have: nets with actions report kComplete only in the sampled sense
-// documented here.
+// Interpreted nets: every predicate, action and computed delay must come
+// from the expression language (expr::compile_*), because exploration runs
+// them as bytecode against slot frames (expr/program.h) and stores a
+// state's data as encoded slot words next to its marking. A net with an
+// opaque C++ hook, or with an expression that does not compile (a builtin
+// arity mistake), is rejected with std::invalid_argument naming the
+// transition and hook, at every thread count and spill setting.
+//
+// An action calling `irand` makes the data successor nondeterministic. The
+// builder samples each action `irand_fanout_limit` times with distinct
+// deterministic seeds and adds one successor per distinct data outcome —
+// exact for deterministic actions, high-coverage sampling for small irand
+// ranges (the paper's models draw from ranges of size <= 5). The status
+// never claims completeness it does not have: nets with actions report
+// kComplete only in the sampled sense documented here.
 #pragma once
 
 #include <cstdint>
@@ -66,23 +72,12 @@ struct ReachOptions {
   /// deadlock sets and place bounds are thread-count-independent (see
   /// analysis/parallel_exploration.h).
   unsigned threads = 1;
-  /// Run predicates/actions as slot-addressed bytecode (expr/vm.h) when
-  /// every hook came from expr::compile_*: per-state data becomes encoded
-  /// slot words in the arena instead of a DataContext snapshot, and the
-  /// mid-run layout widening disappears (the variable universe is frozen
-  /// up front). The graph is identical to the AST/DataContext path's —
-  /// same state numbering, edges, statuses — which stays both the fallback
-  /// for hand-written C++ hooks and the equivalence-test oracle.
-  bool use_expr_vm = true;
   /// Out-of-core exploration (spill.h): when max_resident_bytes is set,
   /// sealed BFS levels and edge rows spill to mmap'd segment files once the
   /// exact resident accounting (memory_bytes()) exceeds the budget. The
   /// graph — state ids, edge order, statuses — is byte-identical to the
   /// all-in-RAM build at every thread count, because spilling happens
-  /// strictly after a level seals. Unsupported (throws
-  /// std::invalid_argument) only for AST-interpreted nets with actions,
-  /// whose layout widening rewrites the whole arena; the expression-VM path
-  /// spills fine.
+  /// strictly after a level seals.
   SpillOptions spill;
   /// Cooperative deadline/cancellation (util/stop.h). Polled at canonical
   /// event positions (every kStopCheckStride-th expanded parent), so a
@@ -190,11 +185,11 @@ class ReachabilityGraph final : public StateSpace {
   /// over a counting-sorted reverse CSR.
   [[nodiscard]] bool is_reversible() const;
 
-  /// Approximate heap footprint of the graph: arena + intern table + edge
-  /// pool, plus (for interpreted nets) an estimate of the per-state
-  /// DataContext snapshots. In spill mode this is the exact *resident*
-  /// footprint — spilled segments are counted by spilled_bytes() instead.
-  /// The bench reports this as bytes/state.
+  /// Heap footprint of the graph: arena (marking plus, for nets with
+  /// actions, encoded data words per state) + intern table + edge pool. In
+  /// spill mode this is the exact *resident* footprint — spilled segments
+  /// are counted by spilled_bytes() instead. The bench reports this as
+  /// bytes/state.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// True if the build (or a query since) actually wrote segments to disk.
@@ -217,19 +212,14 @@ class ReachabilityGraph final : public StateSpace {
   /// Sequential spill setup: shared SpillDir, 2/3 of the budget to the
   /// state arena, 1/3 to the edge pool. No-op when spilling is disabled.
   void configure_spill_sequential(const ReachOptions& options);
-  /// Sequential builders: the AST/DataContext reference path and the
-  /// bytecode/slot-frame fast path (program_ non-null). Same graph.
+  /// The sequential builder (threads == 1).
   void explore_sequential(const ReachOptions& options);
-  void explore_sequential_vm(const ReachOptions& options);
 
   std::shared_ptr<const CompiledNet> net_;
   ReachStatus status_ = ReachStatus::kComplete;
   StateStore store_;
   EdgeCsr<Edge> edges_;
-  /// Per-state data snapshots — only on the AST path of a net with actions
-  /// (on the bytecode path per-state data lives as slot words in the
-  /// arena; action-free nets read the initial data).
-  std::vector<DataContext> data_;
+  /// Data words join each state's arena words (net_has_actions()).
   bool track_data_ = false;
   std::size_t num_expanded_ = 0;  ///< fully-expanded prefix length
   /// Parallel-build extras folded into the spill accounting: the shard
@@ -237,13 +227,14 @@ class ReachabilityGraph final : public StateSpace {
   std::size_t aux_peak_bytes_ = 0;
   bool aux_spill_engaged_ = false;
 
-  /// Bytecode runtime (null on the AST path); query-time scratch for
-  /// decoding per-state frames out of the arena. The scratch is the one
-  /// piece of shared mutable state on the const query surface, so it is
-  /// mutex-guarded: a sealed graph behind shared_ptr<const ...> (the serve
-  /// graph cache) takes transition_activity() calls from many client
-  /// threads at once. Every other const read — successor iteration, arena
-  /// scans, place bounds — touches only sealed flat arrays.
+  /// Bytecode runtime (null for a plain net, which has no hooks);
+  /// query-time scratch for decoding per-state frames out of the arena. The
+  /// scratch is the one piece of shared mutable state on the const query
+  /// surface, so it is mutex-guarded: a sealed graph behind
+  /// shared_ptr<const ...> (the serve graph cache) takes
+  /// transition_activity() calls from many client threads at once. Every
+  /// other const read — successor iteration, arena scans, place bounds —
+  /// touches only sealed flat arrays.
   std::shared_ptr<const expr::NetProgram> program_;
   mutable std::mutex query_mutex_;
   mutable DataFrame query_frame_;

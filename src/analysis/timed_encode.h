@@ -6,8 +6,8 @@
 // state is turned into arena words and which successors leave it in which
 // order — the differential tests pin the two paths bit-identical — so the
 // word layout, the timed eligibility/normalization rules, and the one
-// successor-enumeration function live here, the way reach_encode.h serves
-// the untimed builders.
+// successor-enumeration function live here, the way exploration.h's
+// detail helpers serve the untimed builders.
 //
 // Word layout of an interned timed state (see timed_reachability.h):
 //   [ marking tokens | per-transition remaining enabling delay |

@@ -54,13 +54,13 @@ const FlagSpec* spec_for(const std::string& command) {
       {"query",
        {{"reach", "max-states", "threads", "max-resident-bytes", "spill-dir",
          "timeout"},
-        {"no-expr-vm"},
+        {},
         false}},
       {"render", {{"signals", "from", "to", "columns"}, {"unicode"}, true}},
       {"animate", {{"steps"}, {}, false}},
       {"analyze",
        {{"max-states", "threads", "max-resident-bytes", "spill-dir", "timeout"},
-        {"no-expr-vm"},
+        {},
         false}},
   };
   const auto it = kSpecs.find(command);
@@ -105,15 +105,16 @@ const std::string& require_positional(const Args& args, std::size_t index,
 }
 
 /// Canonical, order-fixed rendering of every ReachOptions field that shapes
-/// a command's output. threads and use_expr_vm are included although the
-/// graph words are pinned identical across them: the storage report
-/// (memory_bytes) genuinely differs by build path, and a cache hit must
-/// never print a line the direct invocation would not have.
+/// a command's output. threads is included although the graph words are
+/// pinned identical across thread counts: the storage report
+/// (memory_bytes) genuinely differs between the sequential and parallel
+/// builders, and a cache hit must never print a line the direct invocation
+/// would not have.
 std::string reach_key(const std::string& source, const analysis::ReachOptions& o) {
   std::ostringstream key;
   key << "reach;ms=" << o.max_states << ";pb=" << o.place_bound
       << ";rc=" << (o.respect_capacities ? 1 : 0) << ";if=" << o.irand_fanout_limit
-      << ";vm=" << (o.use_expr_vm ? 1 : 0) << ";th=" << o.threads << '\n'
+      << ";th=" << o.threads << '\n'
       << source;
   return key.str();
 }
@@ -519,7 +520,6 @@ struct Session::Impl {
       analysis::ReachOptions options;
       options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 200000));
       options.threads = parse_threads(args);
-      options.use_expr_vm = !args.has("no-expr-vm");
       options.spill = parse_spill(args);
       options.stop = stop;
       const auto graph = reach_graph(*m, options);
@@ -633,7 +633,6 @@ struct Session::Impl {
     options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
     const unsigned threads = parse_threads(args);
     options.threads = threads;
-    options.use_expr_vm = !args.has("no-expr-vm");
     options.spill = parse_spill(args);
     const StopToken stop = make_stop(args);
     options.stop = stop;

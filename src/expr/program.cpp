@@ -430,7 +430,7 @@ std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net,
   const std::size_t n = net.num_transitions();
 
   // Recover the ASTs behind every hook; any opaque hook disqualifies the
-  // net from the bytecode path (the engines keep the AST/DataContext one).
+  // net from the bytecode path.
   std::vector<const Node*> predicates(n, nullptr);
   std::vector<const Program*> actions(n, nullptr);
   std::vector<const Node*> firing(n, nullptr);
@@ -480,8 +480,8 @@ std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net,
   result->enabling_delays_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto hook = [&](const char* what, auto&& body) {
-      // E.g. a builtin arity mistake: the AST evaluator raises it lazily at
-      // evaluation time, so fall back rather than change when it surfaces.
+      // E.g. a builtin arity mistake, which the AST evaluator raises only
+      // when the call runs.
       try {
         body();
         return true;

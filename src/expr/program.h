@@ -7,19 +7,19 @@
 //
 //   * a frozen DataSchema covering the complete variable universe (initial
 //     data plus every scalar any action can create — assignment targets
-//     are syntactic, so the universe is statically known and the
-//     exploration engines' mid-run layout widening becomes dead weight on
-//     this path);
+//     are syntactic, so the universe is statically known and the state
+//     encoding never has to widen mid-run);
 //   * the initial DataFrame;
 //   * per-transition bytecode (expr/vm.h) for each attached expression.
 //
 // Compilation is semantics-preserving down to error behaviour: names that
-// can never resolve and builtin arity mistakes lower to throw instructions
-// that raise the AST evaluator's EvalError at *evaluation* time, in the
-// same order (arguments first) the AST evaluator would. The one compile
-// time rejection is a hook whose AST cannot be recovered (a hand-written
-// C++ lambda): compile then returns nullptr and callers keep the
-// DataContext/AST path.
+// can never resolve lower to throw instructions that raise the AST
+// evaluator's EvalError at *evaluation* time, in the same order (arguments
+// first) the AST evaluator would. Two things are rejected at compile time,
+// where compile returns nullptr: a hook whose AST cannot be recovered (a
+// hand-written C++ lambda) and a builtin arity mistake (which the AST
+// evaluator only raises when the call runs). The simulators then keep the
+// DataContext/AST path; the reachability builders reject the net.
 #pragma once
 
 #include <memory>
@@ -53,13 +53,14 @@ class NetProgram {
   /// Returns nullptr if any attached predicate/action/computed delay did
   /// not come from expr::compile_* (no AST to recover), or if an
   /// expression fails to compile (e.g. a builtin arity error — the AST
-  /// path raises it at evaluation time instead, preserving behaviour for
-  /// models whose broken expression never runs).
+  /// evaluator raises it at evaluation time instead, so the simulators'
+  /// AST path still runs models whose broken expression never fires).
   static std::shared_ptr<const NetProgram> compile(const Net& net);
 
   /// As above, but on failure fills `*error` with a one-line reason naming
-  /// the transition and hook (`pnut check` reports this; the engines use
-  /// the silent overload and just fall back to the AST path).
+  /// the transition and hook (`pnut check` reports it, the reachability
+  /// builders throw it; the simulators use the silent overload and fall
+  /// back to the AST path).
   static std::shared_ptr<const NetProgram> compile(const Net& net,
                                                    std::string* error);
 

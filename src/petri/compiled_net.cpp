@@ -95,6 +95,8 @@ CompiledNet::CompiledNet(const Net& net) : net_(net) {
     flags_[t] = f;
     freq_[t] = tr.frequency;
     net_has_inhibitors_ |= !tr.inhibitors.empty();
+    net_has_computed_delays_ |= tr.firing_time.kind() == DelaySpec::Kind::kComputed ||
+                                tr.enabling_time.kind() == DelaySpec::Kind::kComputed;
   }
 
   // Marked-graph check, one pass over the CSR arrays.

@@ -135,6 +135,11 @@ class CompiledNet {
   [[nodiscard]] bool net_has_inhibitors() const { return net_has_inhibitors_; }
   [[nodiscard]] bool net_has_actions() const { return net_has_actions_; }
   [[nodiscard]] bool net_is_interpreted() const { return !predicated_.empty() || net_has_actions_; }
+  /// Any predicate, action or computed delay: the net needs an
+  /// expr::NetProgram to run.
+  [[nodiscard]] bool net_has_hooks() const {
+    return net_is_interpreted() || net_has_computed_delays_;
+  }
 
   [[nodiscard]] double frequency(TransitionId t) const { return freq_[t.value]; }
   [[nodiscard]] const DelaySpec& firing_time(TransitionId t) const {
@@ -266,6 +271,7 @@ class CompiledNet {
   std::vector<double> freq_;
   bool net_has_inhibitors_ = false;
   bool net_has_actions_ = false;
+  bool net_has_computed_delays_ = false;
   bool is_marked_graph_ = false;
 };
 

@@ -698,23 +698,11 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const CompiledNet> net,
   num_places_ = net_->num_places();
   num_transitions_ = net_->num_transitions();
 
-  if (options_.use_expr_vm) {
-    // Same VM-activation rule as the scalar engine, so lane k picks the
-    // same evaluation path (and RNG stream) as a Simulator over this net.
-    const Net& source = net_->net();
-    const bool has_computed_delay = [&] {
-      for (const Transition& t : source.transitions()) {
-        if (t.firing_time.kind() == DelaySpec::Kind::kComputed ||
-            t.enabling_time.kind() == DelaySpec::Kind::kComputed) {
-          return true;
-        }
-      }
-      return false;
-    }();
-    if (net_->net_is_interpreted() || has_computed_delay) {
-      program_ = expr::NetProgram::compile(source);
-      vm_mode_ = program_ != nullptr;
-    }
+  // Same VM-activation rule as the scalar engine, so lane k picks the
+  // same evaluation path (and RNG stream) as a Simulator over this net.
+  if (options_.use_expr_vm && net_->net_has_hooks()) {
+    program_ = expr::NetProgram::compile(net_->net());
+    vm_mode_ = program_ != nullptr;
   }
 
   enab_kind_.reserve(num_transitions_);

@@ -11,21 +11,9 @@ Simulator::Simulator(const Net& net, SimOptions options)
 Simulator::Simulator(std::shared_ptr<const CompiledNet> net, SimOptions options)
     : net_(std::move(net)), options_(options), rng_(options.seed) {
   if (!net_) throw std::invalid_argument("Simulator: null CompiledNet");
-  if (options_.use_expr_vm) {
-    const Net& source = net_->net();
-    const bool has_computed_delay = [&] {
-      for (const Transition& t : source.transitions()) {
-        if (t.firing_time.kind() == DelaySpec::Kind::kComputed ||
-            t.enabling_time.kind() == DelaySpec::Kind::kComputed) {
-          return true;
-        }
-      }
-      return false;
-    }();
-    if (net_->net_is_interpreted() || has_computed_delay) {
-      program_ = expr::NetProgram::compile(source);
-      vm_mode_ = program_ != nullptr;
-    }
+  if (options_.use_expr_vm && net_->net_has_hooks()) {
+    program_ = expr::NetProgram::compile(net_->net());
+    vm_mode_ = program_ != nullptr;
   }
   reset();
 }

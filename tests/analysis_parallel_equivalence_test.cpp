@@ -7,8 +7,8 @@
 // paper's golden models, on rings with real multi-level frontiers, on
 // limit-hitting (truncated / unbounded) explorations, and on a population
 // of randomized nets from tests/support/net_fuzz.h — plain, inhibitor-
-// heavy, and interpreted (predicates, deterministic and irand actions,
-// runtime-created variables that force layout widening).
+// heavy, and interpreted (expression predicates, deterministic and irand
+// actions, tables, runtime-created variables).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -16,6 +16,7 @@
 
 #include "../bench/reach_models.h"
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "support/net_fuzz.h"
@@ -151,8 +152,8 @@ TEST(ParallelEquivalence, UnboundedDetectionIsThreadCountIndependent) {
 // --- throwing model callbacks ------------------------------------------------
 
 /// src branches to a pump side (grows q past any bound) and a boom side
-/// whose callback throws when its state is expanded. Both land in BFS
-/// level 1; the pump parent is canonically first.
+/// whose expression raises EvalError (division by zero) when its state is
+/// expanded. Both land in BFS level 1; the pump parent is canonically first.
 Net stop_vs_throw_net(bool throw_in_predicate) {
   Net net("stop_vs_throw");
   const PlaceId src = net.add_place("src", 1);
@@ -172,16 +173,13 @@ Net stop_vs_throw_net(bool throw_in_predicate) {
   const TransitionId boom = net.add_transition("boom");
   net.add_input(boom, boom_p);
   net.add_output(boom, boom_p);
+  net.initial_data().set("zero", 0);
   if (throw_in_predicate) {
-    // Predicates leave net_has_actions() false: exercises the fast seal.
-    net.set_predicate(boom, [](const DataContext&) -> bool {
-      throw std::runtime_error("boom predicate");
-    });
+    // Predicates leave net_has_actions() false: marking-only states.
+    net.set_predicate(boom, expr::compile_predicate("1 / zero > 0"));
   } else {
-    // Actions track data: exercises the exact seal.
-    net.set_action(boom, [](DataContext&, Rng&) -> void {
-      throw std::runtime_error("boom action");
-    });
+    // Actions track data: data words join every state.
+    net.set_action(boom, expr::compile_action("zero = 1 / zero"));
   }
   return net;
 }
@@ -191,7 +189,7 @@ TEST(ParallelEquivalence, StopRuleBeatsThrowingCallbackInSameLevel) {
   // canonically-earlier parent and never expands the boom state; the
   // parallel builder expands the whole level (the throw happens on a
   // worker) but must suppress the parked exception because the seal stops
-  // first — identical graphs, no throw, for both seal paths.
+  // first — identical graphs, no throw, with and without data words.
   for (const bool predicate : {true, false}) {
     const Net net = stop_vs_throw_net(predicate);
     ReachOptions options;
@@ -211,12 +209,11 @@ TEST(ParallelEquivalence, UnsuppressedCallbackThrowPropagates) {
   for (const bool predicate : {true, false}) {
     Net net = stop_vs_throw_net(predicate);
     // Disarm the pump so no stop rule fires before the boom parent.
-    net.set_predicate(net.transition_named("pump"),
-                      [](const DataContext&) { return false; });
+    net.set_predicate(net.transition_named("pump"), expr::compile_predicate("zero != 0"));
     for (const unsigned threads : {1u, 2u, 4u}) {
       ReachOptions options;
       options.threads = threads;
-      EXPECT_THROW(ReachabilityGraph(net, options), std::runtime_error)
+      EXPECT_THROW(ReachabilityGraph(net, options), expr::EvalError)
           << (predicate ? "predicate" : "action") << " @" << threads;
     }
   }
@@ -242,11 +239,10 @@ TEST(ParallelEquivalence, FuzzedInhibitorHeavyNets) {
 }
 
 TEST(ParallelEquivalence, FuzzedInterpretedNets) {
-  // Predicates, counter actions, irand actions, and runtime-created
-  // variables (layout widening) — the parallel seal must reproduce the
-  // sequential builder's evolving DataLayout decisions exactly.
+  // Expression predicates, counter/table actions, irand actions, and
+  // runtime-created variables — data words ride the same seal as markings.
   test_support::FuzzOptions fuzz;
-  fuzz.interpreted = true;
+  fuzz.interpreted_expr = true;
   for (std::uint64_t seed = 201; seed <= 220; ++seed) {
     expect_parallel_matches(test_support::fuzz_net(seed, fuzz),
                             "interpreted fuzz seed=" + std::to_string(seed));

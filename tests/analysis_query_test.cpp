@@ -4,6 +4,7 @@
 
 #include "analysis/query.h"
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 #include "expr/lexer.h"
 #include "sim/simulator.h"
 
@@ -259,8 +260,8 @@ TEST(QueryVariables, DataVariablesReadableInStates) {
   const TransitionId t = net.add_transition("T");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_predicate(t, [](const DataContext& d) { return d.get("x") < 3; });
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("x", d.get("x") + 1); });
+  net.set_predicate(t, expr::compile_predicate("x < 3"));
+  net.set_action(t, expr::compile_action("x = x + 1"));
   const ReachabilityGraph graph(net);
   EXPECT_TRUE(eval_query(graph, "exists s in S [ x(s) = 3 ]").holds);
   EXPECT_TRUE(eval_query(graph, "forall s in S [ x(s) <= 3 ]").holds);

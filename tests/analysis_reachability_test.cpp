@@ -1,7 +1,10 @@
 // Unit tests for the reachability-graph analyzer.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 
 namespace pnut::analysis {
 namespace {
@@ -246,7 +249,7 @@ TEST(Reachability, InterpretedDeterministicActionTracked) {
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) { d.set("x", (d.get("x") + 1) % 3); });
+  net.set_action(t, expr::compile_action("x = (x + 1) % 3"));
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 3u);
   EXPECT_TRUE(graph.is_reversible());
@@ -261,7 +264,7 @@ TEST(Reachability, StochasticActionFansOut) {
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng& rng) { d.set("x", rng.next_int(1, 3)); });
+  net.set_action(t, expr::compile_action("x = irand[1, 3]"));
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 4u);
 }
@@ -273,49 +276,105 @@ TEST(Reachability, PredicateLimitsStateSpace) {
   const TransitionId inc = net.add_transition("inc");
   net.add_input(inc, p);
   net.add_output(inc, p);
-  net.set_predicate(inc, [](const DataContext& d) { return d.get("x") < 5; });
-  net.set_action(inc, [](DataContext& d, Rng&) { d.set("x", d.get("x") + 1); });
+  net.set_predicate(inc, expr::compile_predicate("x < 5"));
+  net.set_action(inc, expr::compile_action("x = x + 1"));
   const ReachabilityGraph graph(net);
   EXPECT_EQ(graph.num_states(), 6u);  // x = 0..5
   ASSERT_EQ(graph.deadlock_states().size(), 1u);
   EXPECT_EQ(graph.variable(graph.deadlock_states()[0], "x"), 5);
 }
 
-TEST(Reachability, ActionCreatedVariableWidensLayout) {
-  // An action may create a variable mid-exploration; the data layout must
-  // widen and already-interned states stay distinct at their old indices.
+TEST(Reachability, ActionCreatedVariableIsAbsentUntilAssigned) {
+  // An action may create a variable: it is absent (not 0) in the states
+  // before its first assignment and part of the state once assigned.
   Net net;
+  net.initial_data().set("x", 0);
   const PlaceId p = net.add_place("P", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) {
-    if (!d.has("y")) {
-      d.set("y", 0);
-    } else {
-      d.set("y", std::min<std::int64_t>(d.get("y") + 1, 2));
-    }
-  });
+  net.set_action(t, expr::compile_action("x = min[x + 1, 2]; y = x * 10"));
   const ReachabilityGraph graph(net);
-  // States: {}, {y=0}, {y=1}, {y=2}.
-  EXPECT_EQ(graph.num_states(), 4u);
+  // States: {x=0}, {x=1, y=10}, {x=2, y=20}.
+  EXPECT_EQ(graph.num_states(), 3u);
   EXPECT_EQ(graph.variable(0, "y"), std::nullopt);
-  EXPECT_EQ(graph.variable(3, "y"), 2);
+  EXPECT_EQ(graph.variable(1, "y"), 10);
+  EXPECT_EQ(graph.variable(2, "y"), 20);
 }
 
-TEST(Reachability, RuntimeEmptyTableDistinguishedFromAbsent) {
-  // A created-but-empty table is a distinct data state from no table at
-  // all (the encoding carries a per-table presence word).
-  Net net;
+// --- the bytecode-only entry rule --------------------------------------------
+
+/// One recycling transition `t` carrying the given hook kind as an opaque
+/// C++ lambda.
+Net opaque_hook_net(const std::string& hook) {
+  Net net("opaque");
+  net.initial_data().set("x", 0);
   const PlaceId p = net.add_place("P", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_action(t, [](DataContext& d, Rng&) {
-    if (!d.has_table("T")) d.set_table("T", {});
-  });
-  const ReachabilityGraph graph(net);
-  EXPECT_EQ(graph.num_states(), 2u);  // without T, with empty T
+  if (hook == "predicate") {
+    net.set_predicate(t, [](const DataContext& d) { return d.get("x") < 3; });
+  } else if (hook == "action") {
+    net.set_action(t, [](DataContext& d, Rng&) { d.set("x", d.get("x") + 1); });
+  } else {
+    net.set_firing_time(t, DelaySpec::computed([](const DataContext&) { return 1.0; }));
+  }
+  return net;
+}
+
+TEST(Reachability, OpaqueHooksAreRejectedNamingTransitionAndHook) {
+  // Exploration runs every hook as bytecode; a C++ lambda has no
+  // expression source to compile, so the build refuses up front — at
+  // every thread count, spilling or not.
+  for (const std::string hook : {"predicate", "action", "computed delay"}) {
+    const Net net = opaque_hook_net(hook);
+    for (const unsigned threads : {1u, 4u}) {
+      for (const bool spill : {false, true}) {
+        ReachOptions options;
+        options.threads = threads;
+        if (spill) options.spill.max_resident_bytes = 64 * 1024;
+        const std::string label =
+            hook + " @" + std::to_string(threads) + (spill ? " spill" : "");
+        try {
+          const ReachabilityGraph graph(net, options);
+          ADD_FAILURE() << label << ": built " << graph.num_states() << " states";
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("transition 't'"), std::string::npos) << label << ": " << what;
+          EXPECT_NE(what.find(hook), std::string::npos) << label << ": " << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Reachability, UncompilableExpressionIsRejectedEvenIfNeverFired) {
+  // A builtin arity mistake compiles to nothing; the transition is dead
+  // (its input place is never marked), and the build still refuses.
+  Net net("arity");
+  const PlaceId p = net.add_place("P", 1);
+  const PlaceId never = net.add_place("never");
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, p);
+  net.add_output(t, p);
+  const TransitionId broken = net.add_transition("broken");
+  net.add_input(broken, never);
+  net.add_output(broken, never);
+  net.set_action(broken, expr::compile_action("x = irand[1]"));
+  for (const unsigned threads : {1u, 4u}) {
+    ReachOptions options;
+    options.threads = threads;
+    try {
+      const ReachabilityGraph graph(net, options);
+      ADD_FAILURE() << "built " << graph.num_states() << " states @" << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "transition 'broken' action: irand expects 2 arguments, got 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Reachability, InvalidNetRejected) {

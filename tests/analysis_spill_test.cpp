@@ -20,6 +20,7 @@
 #include "../bench/reach_models.h"
 #include "analysis/reachability.h"
 #include "analysis/timed_reachability.h"
+#include "expr/compile.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "support/net_fuzz.h"
@@ -191,29 +192,6 @@ TEST(SpillEquivalence, FuzzedTruncatedNets) {
   }
 }
 
-// --- the unsupported corner --------------------------------------------------
-
-TEST(SpillEquivalence, AstInterpretedNetsWithActionsAreRejected) {
-  // Opaque C++ actions keep the AST/DataContext path, whose mid-run layout
-  // widening rewrites the whole arena — incompatible with sealed spilled
-  // segments. The builder must say so up front at every thread count.
-  Net net("ast_actions");
-  const PlaceId p = net.add_place("p", 1);
-  const TransitionId t = net.add_transition("t");
-  net.add_input(t, p);
-  net.add_output(t, p);
-  net.set_action(t, [](DataContext& data, Rng&) { data.set("x", 1); });
-  for (const unsigned threads : kThreadCounts) {
-    ReachOptions options;
-    options.threads = threads;
-    options.spill = tiny_spill();
-    EXPECT_THROW(ReachabilityGraph(net, options), std::invalid_argument)
-        << threads << " threads";
-    options.spill = SpillOptions{};
-    EXPECT_NO_THROW(ReachabilityGraph(net, options)) << threads << " threads";
-  }
-}
-
 // --- timed graphs ------------------------------------------------------------
 
 /// Full byte-level comparison of timed graphs, spilled vs all-in-RAM.
@@ -334,22 +312,19 @@ TEST(SpillLifecycle, SegmentDirectoryIsRemovedOnThrowingBuilds) {
   std::filesystem::remove_all(base);
   std::filesystem::create_directories(base);
 
-  // An unbounded interpreted net would widen mid-run; more simply, reuse
-  // the AST rejection — but that throws before the SpillDir exists. To hit
-  // a post-creation unwind, cap a fuzz net so tightly the builder throws
-  // from a model callback instead.
+  // A predicate that raises EvalError (division by zero) when first
+  // evaluated — after the builder created its spill subdirectory.
   Net net("boom");
+  net.initial_data().set("zero", 0);
   const PlaceId p = net.add_place("p", 1);
   const TransitionId t = net.add_transition("t");
   net.add_input(t, p);
   net.add_output(t, p);
-  net.set_predicate(t, [](const DataContext&) -> bool {
-    throw std::runtime_error("boom predicate");
-  });
+  net.set_predicate(t, expr::compile_predicate("1 / zero > 0"));
   ReachOptions options;
   options.spill = tiny_spill();
   options.spill.dir = base.string();
-  EXPECT_THROW(ReachabilityGraph(net, options), std::runtime_error);
+  EXPECT_THROW(ReachabilityGraph(net, options), expr::EvalError);
   // The unwind removed the spill subdirectory with its files.
   EXPECT_EQ(dir_entries(base), 0u);
   std::filesystem::remove_all(base);

@@ -1,20 +1,25 @@
-// Differential pins for the exploration engines' bytecode path: the graph
-// built with expression-VM execution (ReachOptions::use_expr_vm, the
-// default) must be *identical* to the AST/DataContext oracle's — same
-// state numbering, markings, per-state variables, edge pool, deadlocks,
-// status and expanded prefix — on the paper's interpreted models and on
-// randomized expression-backed nets, including truncated prefixes; and it
-// must stay identical across every --threads value (the parallel VM path
-// rides the fast candidate seal, a different code path from both).
+// Differential pins for the exploration engines' bytecode data path: the
+// graph ReachabilityGraph builds (hooks run as bytecode, per-state data as
+// encoded slot words) must be *identical* to the naive reference explorer's
+// (tests/support/reference_reach.h: a std::map BFS over the Net description
+// with hooks run on the AST evaluator) — same state numbering, markings,
+// per-state variables, edge order, deadlocks, status and expanded prefix —
+// on the paper's interpreted models, a scripted .pn model and randomized
+// expression-backed nets, including truncated prefixes, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/reachability.h"
+#include "expr/compile.h"
 #include "pipeline/interpreted.h"
 #include "support/net_fuzz.h"
+#include "support/reference_reach.h"
 #include "textio/pn_format.h"
 
 namespace pnut::analysis {
@@ -22,85 +27,80 @@ namespace {
 
 using test_support::fuzz_net;
 using test_support::FuzzOptions;
+using test_support::reference_reach;
+using test_support::ReferenceGraph;
 
-ReachabilityGraph build(const Net& net, bool use_vm, unsigned threads,
-                        std::size_t max_states = 1'000'000) {
-  ReachOptions options;
-  options.max_states = max_states;
-  options.threads = threads;
-  options.use_expr_vm = use_vm;
-  return ReachabilityGraph(net, options);
-}
+constexpr unsigned kThreadCounts[] = {1, 4};
 
-/// Full observable-graph comparison. `scalars` are the variable names the
-/// model can hold (checked per state on both sides).
-void expect_identical(const ReachabilityGraph& a, const ReachabilityGraph& b,
-                      const std::vector<std::string>& scalars,
-                      const std::string& label) {
-  ASSERT_EQ(a.num_states(), b.num_states()) << label;
-  ASSERT_EQ(a.num_edges(), b.num_edges()) << label;
-  EXPECT_EQ(a.status(), b.status()) << label;
-  EXPECT_EQ(a.num_expanded(), b.num_expanded()) << label;
-  EXPECT_EQ(a.deadlock_states(), b.deadlock_states()) << label;
-  for (std::size_t s = 0; s < a.num_states(); ++s) {
-    const auto ta = a.tokens(s);
-    const auto tb = b.tokens(s);
-    ASSERT_EQ(ta.size(), tb.size()) << label;
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      ASSERT_EQ(ta[i], tb[i]) << label << ": state " << s << " place " << i;
-    }
-    const auto ea = a.edges(s);
-    const auto eb = b.edges(s);
-    ASSERT_EQ(ea.size(), eb.size()) << label << ": state " << s;
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      ASSERT_EQ(ea[i].transition, eb[i].transition) << label << ": state " << s;
-      ASSERT_EQ(ea[i].target, eb[i].target) << label << ": state " << s;
+/// Full observable-graph comparison against the reference. Every scalar
+/// the reference ever holds is checked on every state: present with the
+/// same value, or absent on both sides.
+void expect_matches_reference(const ReachabilityGraph& g, const ReferenceGraph& ref,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  ASSERT_EQ(g.status(), ref.status);
+  ASSERT_EQ(g.num_states(), ref.num_states());
+  ASSERT_EQ(g.num_edges(), ref.num_edges());
+  EXPECT_EQ(g.num_expanded(), ref.num_expanded);
+  EXPECT_EQ(g.deadlock_states(), ref.deadlock_states());
+
+  std::set<std::string> scalars;
+  for (const DataContext& d : ref.data) {
+    for (const auto& [name, value] : d.scalars()) scalars.insert(name);
+  }
+  for (std::size_t s = 0; s < ref.num_states(); ++s) {
+    const auto tokens = g.tokens(s);
+    ASSERT_TRUE(std::equal(tokens.begin(), tokens.end(), ref.markings[s].begin(),
+                           ref.markings[s].end()))
+        << "state " << s << " marking";
+    const auto edges = g.edges(s);
+    ASSERT_EQ(edges.size(), ref.edges[s].size()) << "state " << s;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      ASSERT_EQ(edges[e].transition.value, ref.edges[s][e].transition)
+          << "state " << s << " edge " << e;
+      ASSERT_EQ(edges[e].target, ref.edges[s][e].target) << "state " << s << " edge " << e;
     }
     for (const std::string& name : scalars) {
-      ASSERT_EQ(a.variable(s, name), b.variable(s, name))
-          << label << ": state " << s << " variable " << name;
+      const DataContext& d = ref.data[s];
+      const std::optional<std::int64_t> expected =
+          d.has(name) ? std::optional<std::int64_t>(d.get(name)) : std::nullopt;
+      ASSERT_EQ(g.variable(s, name), expected) << "state " << s << " variable " << name;
     }
   }
 }
 
-const std::vector<std::string> kPipelineScalars = {
-    "type", "number_of_operands_needed", "extra_words_needed",
-    "exec_cycles_current", "store_needed", "max_type"};
+/// Build at every thread count and compare each graph to one reference,
+/// which is returned for case-specific checks.
+ReferenceGraph expect_engines_match_reference(const Net& net, const std::string& label,
+                                              ReachOptions options = {}) {
+  ReferenceGraph ref = reference_reach(net, options);
+  for (const unsigned threads : kThreadCounts) {
+    options.threads = threads;
+    const ReachabilityGraph g(net, options);
+    expect_matches_reference(g, ref, label + " @" + std::to_string(threads) + " threads");
+  }
+  return ref;
+}
 
-TEST(VmGraphEquivalence, GoldenInterpretedModelsMatchAstOracle) {
+ReachOptions capped(std::size_t max_states) {
+  ReachOptions options;
+  options.max_states = max_states;
+  return options;
+}
+
+TEST(ReferenceGraphEquivalence, GoldenInterpretedModels) {
   for (const Net& net : {pipeline::build_interpreted_operand_fetch(),
                          pipeline::build_interpreted_pipeline()}) {
-    const ReachabilityGraph vm = build(net, true, 1);
-    const ReachabilityGraph ast = build(net, false, 1);
-    EXPECT_EQ(vm.status(), ReachStatus::kComplete);
-    expect_identical(vm, ast, kPipelineScalars, net.name());
+    expect_engines_match_reference(net, net.name(), capped(1'000'000));
   }
 }
 
-TEST(VmGraphEquivalence, GoldenModelsIdenticalAcrossThreadCounts) {
-  const Net net = pipeline::build_interpreted_pipeline();
-  const ReachabilityGraph reference = build(net, true, 1);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    const ReachabilityGraph parallel = build(net, true, threads);
-    expect_identical(parallel, reference, kPipelineScalars,
-                     "threads=" + std::to_string(threads));
-  }
-}
-
-TEST(VmGraphEquivalence, TruncatedPrefixesMatchAstOracleAndThreads) {
+TEST(ReferenceGraphEquivalence, GoldenTruncatedPrefixes) {
   const Net net = pipeline::build_interpreted_pipeline();
   for (const std::size_t max_states : {100u, 1000u}) {
-    const ReachabilityGraph vm = build(net, true, 1, max_states);
-    const ReachabilityGraph ast = build(net, false, 1, max_states);
-    EXPECT_EQ(vm.status(), ReachStatus::kTruncated);
-    expect_identical(vm, ast, kPipelineScalars,
-                     "truncated@" + std::to_string(max_states));
-    for (const unsigned threads : {2u, 4u}) {
-      const ReachabilityGraph parallel = build(net, true, threads, max_states);
-      expect_identical(parallel, vm, kPipelineScalars,
-                       "truncated@" + std::to_string(max_states) +
-                           " threads=" + std::to_string(threads));
-    }
+    const ReferenceGraph ref = expect_engines_match_reference(
+        net, "truncated@" + std::to_string(max_states), capped(max_states));
+    EXPECT_EQ(ref.status, ReachStatus::kTruncated);
   }
 }
 
@@ -124,65 +124,55 @@ trans reset in idle out idle when "total >= 6"
       do "total = 0; for k = 0 to 3 { scratch[k] = 0; }"
 )pn";
 
-TEST(VmGraphEquivalence, ScriptedPnModelMatchesAstOracleAndThreads) {
-  const Net net = textio::parse_net(kScriptedModel).net;
-  const std::vector<std::string> scalars = {"total", "step"};
-  const ReachabilityGraph vm = build(net, true, 1);
-  const ReachabilityGraph ast = build(net, false, 1);
-  EXPECT_EQ(vm.status(), ReachStatus::kComplete);
-  EXPECT_GE(vm.num_states(), 10u);
-  expect_identical(vm, ast, scalars, "scripted-pn");
-  for (const unsigned threads : {2u, 4u}) {
-    const ReachabilityGraph parallel = build(net, true, threads);
-    expect_identical(parallel, vm, scalars,
-                     "scripted-pn threads=" + std::to_string(threads));
-  }
+TEST(ReferenceGraphEquivalence, ScriptedPnModel) {
+  const ReferenceGraph ref =
+      expect_engines_match_reference(textio::parse_net(kScriptedModel).net, "scripted-pn");
+  EXPECT_EQ(ref.status, ReachStatus::kComplete);
+  EXPECT_GE(ref.num_states(), 10u);
 }
 
-TEST(VmGraphEquivalence, FuzzedExpressionNetsMatchAstOracle) {
+TEST(ReferenceGraphEquivalence, FuzzedExpressionNets) {
   FuzzOptions options;
   options.interpreted_expr = true;
-  const std::vector<std::string> scalars = {"x", "late"};
   for (std::uint64_t seed = 1; seed <= 45; ++seed) {
-    const Net net = fuzz_net(seed, options);
-    const ReachabilityGraph vm = build(net, true, 1);
-    const ReachabilityGraph ast = build(net, false, 1);
-    expect_identical(vm, ast, scalars, "seed " + std::to_string(seed));
-    // And across thread counts on the VM path (fast candidate seal).
-    for (const unsigned threads : {2u, 4u, 8u}) {
-      const ReachabilityGraph parallel = build(net, true, threads);
-      expect_identical(parallel, vm, scalars,
-                       "seed " + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
+    expect_engines_match_reference(fuzz_net(seed, options), "seed " + std::to_string(seed));
   }
 }
 
-TEST(VmGraphEquivalence, FuzzedTruncationsMatchAcrossPathsAndThreads) {
+TEST(ReferenceGraphEquivalence, FuzzedTruncatedPrefixes) {
   FuzzOptions options;
   options.interpreted_expr = true;
-  const std::vector<std::string> scalars = {"x", "late"};
   for (std::uint64_t seed = 50; seed <= 65; ++seed) {
-    const Net net = fuzz_net(seed, options);
-    const ReachabilityGraph vm = build(net, true, 1, 40);
-    const ReachabilityGraph ast = build(net, false, 1, 40);
-    expect_identical(vm, ast, scalars, "seed " + std::to_string(seed));
-    for (const unsigned threads : {2u, 4u}) {
-      const ReachabilityGraph parallel = build(net, true, threads, 40);
-      expect_identical(parallel, vm, scalars,
-                       "seed " + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
+    expect_engines_match_reference(fuzz_net(seed, options),
+                                   "truncated seed " + std::to_string(seed), capped(40));
   }
 }
 
-TEST(VmGraphEquivalence, MemoryFootprintDropsWithoutDataContextSnapshots) {
-  // The headline of the slot path: per-state data is arena words, not a
-  // DataContext snapshot. >= 3x on the paper's flagship interpreted model.
-  const Net net = pipeline::build_interpreted_pipeline();
-  const ReachabilityGraph vm = build(net, true, 1);
-  const ReachabilityGraph ast = build(net, false, 1);
-  EXPECT_LT(vm.memory_bytes() * 3, ast.memory_bytes());
+TEST(ReferenceGraphEquivalence, UnboundedStopPoint) {
+  // An expression counter rides a token pump: the place-bound stop lands
+  // on the same firing in the reference and in every engine.
+  Net net("pump");
+  net.initial_data().set("n", 0);
+  const PlaceId p = net.add_place("p", 1);
+  const PlaceId q = net.add_place("q");
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, p);
+  net.add_output(t, p);
+  net.add_output(t, q, 2);
+  net.set_action(t, expr::compile_action("n = (n + 1) % 3"));
+  ReachOptions options;
+  options.place_bound = 20;
+  EXPECT_EQ(expect_engines_match_reference(net, "pump", options).status,
+            ReachStatus::kUnbounded);
+}
+
+TEST(ReferenceGraphEquivalence, BytesPerStateStayArenaSized) {
+  // Per-state data is arena words, not a DataContext snapshot: the paper's
+  // flagship interpreted model stays under a third of the 1688 bytes/state
+  // the DataContext-snapshot engine recorded on it (BENCH_reach.json).
+  const ReachabilityGraph g(pipeline::build_interpreted_pipeline(), capped(1'000'000));
+  ASSERT_EQ(g.status(), ReachStatus::kComplete);
+  EXPECT_LT(g.memory_bytes() * 3, 1688 * g.num_states());
 }
 
 }  // namespace

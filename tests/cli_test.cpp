@@ -145,6 +145,53 @@ TEST_F(CliTest, CheckLowersEveryHookAndNamesTheBadOne) {
       << r.out;
 }
 
+TEST_F(CliTest, ExplorationRejectsUncompilableHooksNamingThem) {
+  // analyze and query --reach run every hook as bytecode, so the arity
+  // mistake `check` reports stops them before exploring: exit 2, the
+  // structural sections already printed, stderr naming transition and hook.
+  const std::string arity_path = (dir_ / "arity.pn").string();
+  std::ofstream(arity_path) << "net arity\n"
+                               "place P init 1\n"
+                               "trans t in P out P do \"x = irand[1]\"\n";
+  const std::string reason = "transition 't' action: irand expects 2 arguments, got 1";
+  for (const std::string threads : {"1", "4"}) {
+    const Result analyze = run_cli({"analyze", arity_path, "--threads", threads});
+    EXPECT_EQ(analyze.code, 2);
+    EXPECT_EQ(analyze.out,
+              "net: arity — 1 places, 1 transitions\n\n"
+              "place invariants (1):\n"
+              "  P = 1\n"
+              "  every place covered: net is structurally bounded\n"
+              "transition invariants (1):\n"
+              "  t\n");
+    EXPECT_NE(analyze.err.find(reason), std::string::npos) << analyze.err;
+
+    const Result query = run_cli({"query", "--reach", arity_path,
+                                  "forall s in S [ P(s) = 1 ]", "--threads", threads});
+    EXPECT_EQ(query.code, 2);
+    EXPECT_EQ(query.out, "");
+    EXPECT_NE(query.err.find(reason), std::string::npos) << query.err;
+  }
+}
+
+TEST_F(CliTest, NoExprVmIsSimulateOnly) {
+  // Exploration has one data path; the flag survives only on simulate.
+  const Result analyze = run_cli({"analyze", model_path_, "--no-expr-vm"});
+  EXPECT_EQ(analyze.code, 2);
+  EXPECT_NE(analyze.err.find("unknown flag --no-expr-vm"), std::string::npos) << analyze.err;
+  const Result query = run_cli({"query", "--reach", model_path_,
+                                "forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]",
+                                "--no-expr-vm"});
+  EXPECT_EQ(query.code, 2);
+  EXPECT_NE(query.err.find("unknown flag --no-expr-vm"), std::string::npos) << query.err;
+
+  const Result vm = run_cli({"simulate", model_path_, "--until", "200", "--seed", "7"});
+  const Result ast =
+      run_cli({"simulate", model_path_, "--until", "200", "--seed", "7", "--no-expr-vm"});
+  EXPECT_EQ(ast.code, 0) << ast.err;
+  EXPECT_EQ(ast.out, vm.out);
+}
+
 TEST_F(CliTest, CheckMissingFile) {
   const Result r = run_cli({"check", (dir_ / "absent.pn").string()});
   EXPECT_EQ(r.code, 1);

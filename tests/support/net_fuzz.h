@@ -12,7 +12,7 @@
 // fan-in/fan-out shapes, inhibitor arcs and thresholds, the initial
 // marking, and — behind FuzzOptions toggles — data features (predicates,
 // deterministic counter actions, irand actions, actions that create a
-// variable at runtime, which exercises layout widening) and timing
+// variable at runtime) and timing
 // features (every DelaySpec kind, frequencies, firing policies). Timed
 // nets always get firing times >= 1, so a fuzzed simulation can never
 // livelock in a same-instant immediate cascade. `timed_integer` instead
@@ -49,15 +49,16 @@ struct FuzzOptions {
   /// deadlock sets, bad for long simulations; set 0 for token-preserving
   /// nets that stay live for the whole horizon.
   int lossy_pct = 15;
-  /// Add data features: a small modular counter variable, predicates over
-  /// it, deterministic and irand actions, and (rarely) an action that
-  /// creates a new variable at runtime.
+  /// Add data features as opaque C++ lambdas: a small modular counter
+  /// variable, predicates over it, deterministic and irand actions, and
+  /// (rarely) an action that creates a new variable at runtime. Only the
+  /// simulators' AST path runs these; reachability rejects opaque hooks.
   bool interpreted = false;
   /// Like `interpreted`, but every predicate/action is attached from
   /// expression-language source via expr::compile_* (plus a modular table
   /// some hooks read and write) — the nets the bytecode VM can compile, for
-  /// the AST-vs-VM differential harness. Mutually exclusive with
-  /// `interpreted` (which attaches opaque C++ lambdas, the fallback path).
+  /// the exploration harnesses and the AST-vs-VM simulator harness.
+  /// Mutually exclusive with `interpreted`.
   bool interpreted_expr = false;
   /// Add timing features: non-zero firing times of every DelaySpec kind,
   /// enabling times, frequencies and firing policies. For simulator fuzz;
@@ -176,8 +177,8 @@ inline Net fuzz_net(std::uint64_t seed, const FuzzOptions& options = {}) {
       } else if (chance(15)) {
         net.set_action(t, expr::compile_action("x = irand[0, " + m + " - 1]"));
       } else if (chance(10)) {
-        // Creates `late` at runtime: the AST oracle widens its layout, the
-        // VM path has the slot (absent until assigned) from the start.
+        // Creates `late` at runtime: the schema has its slot (absent until
+        // assigned) from the start, the AST evaluator adds it on assignment.
         net.set_action(t, expr::compile_action("x = (x + 1) % " + m +
                                                "; late = x * 7 + min[x, 2]"));
       } else if (with_table && chance(15)) {
@@ -205,7 +206,7 @@ inline Net fuzz_net(std::uint64_t seed, const FuzzOptions& options = {}) {
         });
       } else if (chance(10)) {
         // Creates a variable at runtime once x wraps: exercises the
-        // DataLayout widening path in both exploration engines.
+        // simulators' AST/DataContext path on a growing variable set.
         net.set_action(t, [m](DataContext& d, Rng&) {
           const std::int64_t x = (d.get("x") + 1) % m;
           d.set("x", x);
