@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -79,6 +80,14 @@ class FdBuf : public std::streambuf {
   char in_[4096];
   char out_[4096];
 };
+
+/// Send each flush at once. FdBuf writes a response in 4 KiB chunks; with
+/// Nagle on, the chunk after the first waits for the client's delayed ACK
+/// (tens of milliseconds) whenever a response spans more than one chunk.
+void set_no_delay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
 
 }  // namespace
 
@@ -197,6 +206,7 @@ struct Server::Impl {
   /// protocol-speaking client reads a well-formed refusal, not a hangup),
   /// close.
   void reject_over_capacity(int fd) {
+    set_no_delay(fd);
     FdBuf buf(fd);
     std::ostream out(&buf);
     out << kGreeting;
@@ -208,6 +218,7 @@ struct Server::Impl {
   }
 
   void client_loop(int fd, std::size_t slot) {
+    set_no_delay(fd);
     FdBuf buf(fd);
     std::istream in(&buf);
     std::ostream out(&buf);

@@ -9,6 +9,8 @@
 #include <thread>
 #include <tuple>
 
+#include "sim/event_queue.h"
+
 namespace pnut {
 
 namespace {
@@ -43,33 +45,13 @@ struct Acc {
   }
 };
 
-enum class EventKind : std::uint8_t { kFiringComplete, kEnablingExpiry };
-
-struct Event {
-  Time time = 0;
-  std::uint64_t sequence = 0;
-  EventKind kind = EventKind::kFiringComplete;
-  std::uint32_t transition = 0;
-  std::uint64_t firing_id = 0;
-  std::uint64_t generation = 0;
-};
-
-/// Min-heap comparator on (time, sequence) — a strict total order (sequence
-/// numbers are unique within a lane), so std::push_heap/pop_heap on the
-/// reused worker vector pops events in exactly the order the scalar
-/// engine's std::priority_queue does.
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.sequence > b.sequence;
-  }
-};
-
 /// Per-worker scratch reused across the lanes the worker runs: everything a
 /// lane needs transiently but that would otherwise cost an allocation per
 /// lane (or, for the conflict candidate lists, per event).
 struct BatchWorker {
-  std::vector<Event> heap;
+  /// The scalar engine's event queue (sim/event_queue.h), so lanes pop
+  /// events in exactly its order.
+  EventQueue queue;
   /// Dirty and ready sets as bitmask words. Iterating set bits with
   /// countr_zero walks ids in ascending order — exactly the order the
   /// scalar engine's sorted candidate vectors produce — while marking,
@@ -81,6 +63,7 @@ struct BatchWorker {
   expr::VmScratch vm;
   DataContext data;        ///< live data state on the AST fallback path
   DataFrame frame_before;  ///< action-diff snapshot (sink lanes, VM path)
+  TraceEvent event;        ///< the delta handed to a sink lane, reused
   std::vector<Acc> place_acc;
   std::vector<Acc> trans_acc;
   std::vector<std::uint64_t> starts;
@@ -124,7 +107,6 @@ struct LaneRun {
   Rng& rng;
   TraceSink* sink;
   Time now = 0;
-  std::uint64_t next_sequence = 0;
   std::uint64_t next_firing = 0;
   std::uint64_t immediate_this_instant = 0;
   Time instant = -1;
@@ -243,12 +225,6 @@ struct LaneRun {
     return 0;  // unreachable
   }
 
-  void schedule(Time time, EventKind kind, std::uint32_t t, std::uint64_t firing_id,
-                std::uint64_t gen) {
-    w.heap.push_back(Event{time, next_sequence++, kind, t, firing_id, gen});
-    std::push_heap(w.heap.begin(), w.heap.end(), EventAfter{});
-  }
-
   void refresh_one(TransitionId t) {
     const std::uint32_t i = t.value;
     const bool now_eligible = compute_eligible(t);
@@ -266,7 +242,7 @@ struct LaneRun {
         ready_insert(i);
       } else {
         ready_flag[i] = 0;
-        schedule(now + delay, EventKind::kEnablingExpiry, i, 0, generation[i]);
+        w.queue.push(now + delay, QueuedEvent::Kind::kEnablingExpiry, i, generation[i]);
       }
     } else if (!now_eligible && eligible[i]) {
       eligible[i] = 0;
@@ -381,22 +357,18 @@ struct LaneRun {
 
   void start_firing(TransitionId t) {
     const std::uint64_t firing_id = next_firing++;
-
-    TraceEvent ev;  // built only on the sink (inspection) path
-    if (sink != nullptr) {
-      ev.kind = TraceEvent::Kind::kStart;
-      ev.time = now;
-      ev.transition = t;
-      ev.firing_id = firing_id;
-    }
+    // Built only on the sink (inspection) path.
+    TraceEvent* ev = sink != nullptr
+                         ? &w.event.reset(TraceEvent::Kind::kStart, now, t, firing_id)
+                         : nullptr;
 
     for (const Arc& a : net.inputs(t)) {
       remove_tokens(a.place, a.weight);
       mark_place_dirty(a.place);
-      if (sink != nullptr) ev.consumed.push_back(TokenDelta{a.place, a.weight});
+      if (ev != nullptr) ev->consumed.push_back(TokenDelta{a.place, a.weight});
     }
 
-    if (net.has_action(t)) run_action(t, sink != nullptr ? &ev : nullptr);
+    if (net.has_action(t)) run_action(t, ev);
 
     const Time firing_time = sample_delay(/*enabling=*/false, t);
 
@@ -407,7 +379,7 @@ struct LaneRun {
       for (const Arc& a : net.outputs(t)) {
         add_tokens(a.place, a.weight);
         mark_place_dirty(a.place);
-        if (sink != nullptr) ev.produced.push_back(TokenDelta{a.place, a.weight});
+        if (ev != nullptr) ev->produced.push_back(TokenDelta{a.place, a.weight});
       }
       completions[t.value] += 1;
       ++events_started;
@@ -430,9 +402,9 @@ struct LaneRun {
           w.place_acc[p.place.value].change(now, static_cast<std::int64_t>(p.weight));
         }
       }
-      if (sink != nullptr) {
-        ev.kind = TraceEvent::Kind::kAtomic;
-        sink->event(ev);
+      if (ev != nullptr) {
+        ev->kind = TraceEvent::Kind::kAtomic;
+        sink->event(*ev);
       }
       return;
     }
@@ -445,23 +417,19 @@ struct LaneRun {
     for (const Arc& a : net.inputs(t)) {
       w.place_acc[a.place.value].change(now, -static_cast<std::int64_t>(a.weight));
     }
-    if (sink != nullptr) sink->event(ev);
-    schedule(now + firing_time, EventKind::kFiringComplete, t.value, firing_id, 0);
+    if (ev != nullptr) sink->event(*ev);
+    w.queue.push(now + firing_time, QueuedEvent::Kind::kFiringComplete, t.value, firing_id);
   }
 
   void complete_firing(TransitionId t, std::uint64_t firing_id) {
-    TraceEvent ev;
-    if (sink != nullptr) {
-      ev.kind = TraceEvent::Kind::kEnd;
-      ev.time = now;
-      ev.transition = t;
-      ev.firing_id = firing_id;
-    }
+    TraceEvent* ev = sink != nullptr
+                         ? &w.event.reset(TraceEvent::Kind::kEnd, now, t, firing_id)
+                         : nullptr;
     for (const Arc& a : net.outputs(t)) {
       add_tokens(a.place, a.weight);
       mark_place_dirty(a.place);
       w.place_acc[a.place.value].change(now, static_cast<std::int64_t>(a.weight));
-      if (sink != nullptr) ev.produced.push_back(TokenDelta{a.place, a.weight});
+      if (ev != nullptr) ev->produced.push_back(TokenDelta{a.place, a.weight});
     }
     in_flight[t.value] -= 1;
     mark_dirty(t);
@@ -469,7 +437,7 @@ struct LaneRun {
     ++events_finished;
     ++w.ends[t.value];
     w.trans_acc[t.value].change(now, -1);
-    if (sink != nullptr) sink->event(ev);
+    if (ev != nullptr) sink->event(*ev);
   }
 
   void fire_ready_transitions() {
@@ -550,11 +518,10 @@ struct LaneRun {
     std::fill(in_flight, in_flight + T, std::uint32_t{0});
     std::fill(completions, completions + T, std::uint64_t{0});
 
-    w.heap.clear();
+    w.queue.clear();
     const std::size_t words = (T + 63) / 64;
     w.dirty_words.assign(words, 0);
     w.ready_words.assign(words, 0);
-    next_sequence = 0;
     next_firing = 0;
     immediate_this_instant = 0;
     instant = now;
@@ -595,24 +562,22 @@ struct LaneRun {
   void run_to(Time horizon) {
     const bool stoppable = b.options_.stop.possible();
     std::uint64_t events = 0;
-    while (!w.heap.empty() && w.heap.front().time <= horizon) {
+    while (!w.queue.empty() && w.queue.top().time <= horizon) {
       // Cooperative stop: the StopError parks in this lane's error slot and
       // run() rethrows the lowest lane's, like any other lane failure.
       if (stoppable && (events++ % kStopCheckStride) == 0) {
         b.options_.stop.throw_if_stopped();
       }
-      const Event ev = w.heap.front();
-      std::pop_heap(w.heap.begin(), w.heap.end(), EventAfter{});
-      w.heap.pop_back();
+      const QueuedEvent ev = w.queue.pop();
 
-      if (ev.kind == EventKind::kEnablingExpiry) {
-        if (generation[ev.transition] != ev.generation) continue;  // stale timer
+      if (ev.kind == QueuedEvent::Kind::kEnablingExpiry) {
+        if (generation[ev.transition] != ev.payload) continue;  // stale timer
         now = ev.time;
         ready_flag[ev.transition] = 1;
         ready_insert(ev.transition);
       } else {
         now = ev.time;
-        complete_firing(TransitionId(ev.transition), ev.firing_id);
+        complete_firing(TransitionId(ev.transition), ev.payload);
         refresh_eligibility();
       }
       fire_ready_transitions();
@@ -634,7 +599,7 @@ struct LaneRun {
   void finish() {
     b.now_[lane] = now;
     b.firing_starts_[lane] = next_firing;
-    b.stop_[lane] = (w.heap.empty() && deadlocked()) ? StopReason::kDeadlock
+    b.stop_[lane] = (w.queue.empty() && deadlocked()) ? StopReason::kDeadlock
                                                      : StopReason::kTimeLimit;
     if (sink != nullptr) sink->end(now);
 

@@ -18,9 +18,10 @@
 //     (eligible/ready flags, enabling generations, in-flight counts,
 //     completion counters) and per-lane RNGs, clocks and seeds.
 //
-// Per-lane transient machinery (event heap, dirty/ready sets, statistics
-// accumulators, VM scratch) lives in per-worker scratch reused across
-// lanes, so a lane run performs no per-event allocation: statistics are
+// Per-lane transient machinery (the EventQueue the scalar engine uses too,
+// dirty/ready sets, statistics accumulators, VM scratch, the trace event a
+// sink lane is handed) lives in per-worker scratch reused across lanes, so
+// a lane run performs no per-event allocation: statistics are
 // accumulated natively with StatCollector's exact arithmetic instead of
 // materializing TraceEvents, which is where the batch engine's speedup over
 // one-Simulator-per-run comes from on top of compiling once.

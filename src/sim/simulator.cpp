@@ -30,8 +30,7 @@ void Simulator::reset(std::optional<std::uint64_t> seed) {
   dirty_flag_.assign(net_->num_transitions(), 0);
   ready_set_.clear();
   in_ready_.assign(net_->num_transitions(), 0);
-  queue_ = {};
-  next_sequence_ = 0;
+  queue_.clear();
   next_firing_id_ = 0;
   immediate_firings_this_instant_ = 0;
   instant_ = now_;
@@ -74,11 +73,6 @@ Time Simulator::sample_delay(const DelaySpec& spec, const expr::Code* code) {
     return spec.sample(kNoData, rng_);
   }
   return spec.sample(data_, rng_);
-}
-
-void Simulator::schedule(QueuedEvent ev) {
-  ev.sequence = next_sequence_++;
-  queue_.push(ev);
 }
 
 void Simulator::ready_insert(std::uint32_t t) {
@@ -137,8 +131,8 @@ void Simulator::refresh_one(TransitionId t) {
         ready_insert(t.value);
       } else {
         st.ready = false;
-        schedule(QueuedEvent{now_ + delay, 0, EventKind::kEnablingExpiry, t, 0,
-                             st.generation});
+        queue_.push(now_ + delay, QueuedEvent::Kind::kEnablingExpiry, t.value,
+                    st.generation);
       }
     }
   } else if (!now_eligible && st.eligible) {
@@ -176,46 +170,23 @@ void Simulator::refresh_eligibility() {
 
 void Simulator::start_firing(TransitionId t) {
   TransitionState& st = states_[t.value];
-
-  TraceEvent start;
-  start.kind = TraceEvent::Kind::kStart;
-  start.time = now_;
-  start.transition = t;
-  start.firing_id = next_firing_id_++;
+  const std::uint64_t firing_id = next_firing_id_++;
+  // The deltas are built only for a sink; the token moves happen either way.
+  TraceEvent* start = sink_ != nullptr
+                          ? &event_.reset(TraceEvent::Kind::kStart, now_, t, firing_id)
+                          : nullptr;
 
   for (const Arc& a : net_->inputs(t)) {
     marking_.remove(a.place, a.weight);
     mark_place_dirty(a.place);
-    start.consumed.push_back(TokenDelta{a.place, a.weight});
+    if (start != nullptr) start->consumed.push_back(TokenDelta{a.place, a.weight});
   }
 
   if (net_->has_action(t)) {
     if (vm_mode_) {
       run_action_vm(t, start);
     } else {
-      // Diff the (small) data context around the action so the trace
-      // carries the exact variable updates the firing performed.
-      const DataContext before = data_;
-      net_->action(t)(data_, rng_);
-      mark_predicated_dirty();
-      for (const auto& [name, value] : data_.scalars()) {
-        if (!before.has(name) || before.get(name) != value) {
-          start.scalar_updates.push_back(ScalarUpdate{name, value});
-        }
-      }
-      for (const auto& [name, values] : data_.tables()) {
-        if (!before.has_table(name)) {
-          throw std::logic_error(
-              "Simulator: action created table '" + name +
-              "' at runtime; declare tables in Net::initial_data() instead");
-        }
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (before.get_table(name, static_cast<std::int64_t>(i)) != values[i]) {
-            start.table_updates.push_back(
-                TableUpdate{name, static_cast<std::int64_t>(i), values[i]});
-          }
-        }
-      }
+      run_action_ast(t, start);
     }
   }
 
@@ -226,29 +197,60 @@ void Simulator::start_firing(TransitionId t) {
     // Zero-duration firing: consume + produce in one atomic state delta
     // (Section 4.2 relies on instantaneous moves being atomic for the
     // Bus_busy + Bus_free = 1 style invariants to hold in every state).
-    start.kind = TraceEvent::Kind::kAtomic;
     for (const Arc& a : net_->outputs(t)) {
       marking_.add(a.place, a.weight);
       mark_place_dirty(a.place);
-      start.produced.push_back(TokenDelta{a.place, a.weight});
+      if (start != nullptr) start->produced.push_back(TokenDelta{a.place, a.weight});
     }
     st.completions += 1;
-    if (sink_ != nullptr) sink_->event(start);
+    if (start != nullptr) {
+      start->kind = TraceEvent::Kind::kAtomic;
+      sink_->event(*start);
+    }
     return;
   }
 
   st.in_flight += 1;
   mark_dirty(t);  // in_flight gates single-server eligibility
-  if (sink_ != nullptr) sink_->event(start);
-  schedule(QueuedEvent{now_ + firing_time, 0, EventKind::kFiringComplete, t,
-                       start.firing_id, 0});
+  if (start != nullptr) sink_->event(*start);
+  queue_.push(now_ + firing_time, QueuedEvent::Kind::kFiringComplete, t.value, firing_id);
 }
 
-void Simulator::run_action_vm(TransitionId t, TraceEvent& start) {
-  frame_before_.assign(frame_);
+void Simulator::run_action_ast(TransitionId t, TraceEvent* start) {
+  // Diff the (small) data context around the action so the trace carries
+  // the exact variable updates the firing performed.
+  const DataContext before = data_;
+  net_->action(t)(data_, rng_);
+  mark_predicated_dirty();
+  if (start != nullptr) {
+    for (const auto& [name, value] : data_.scalars()) {
+      if (!before.has(name) || before.get(name) != value) {
+        start->scalar_updates.push_back(ScalarUpdate{name, value});
+      }
+    }
+  }
+  for (const auto& [name, values] : data_.tables()) {
+    if (!before.has_table(name)) {
+      throw std::logic_error(
+          "Simulator: action created table '" + name +
+          "' at runtime; declare tables in Net::initial_data() instead");
+    }
+    if (start == nullptr) continue;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (before.get_table(name, static_cast<std::int64_t>(i)) != values[i]) {
+        start->table_updates.push_back(
+            TableUpdate{name, static_cast<std::int64_t>(i), values[i]});
+      }
+    }
+  }
+}
+
+void Simulator::run_action_vm(TransitionId t, TraceEvent* start) {
+  if (start != nullptr) frame_before_.assign(frame_);
   expr::vm_exec(*program_->action(t), frame_, &rng_, vm_scratch_);
   data_cache_valid_ = false;
   mark_predicated_dirty();
+  if (start == nullptr) return;
 
   // Frame diff in slot order == name order, so the trace's update lists
   // are identical to the AST path's DataContext diff.
@@ -256,13 +258,13 @@ void Simulator::run_action_vm(TransitionId t, TraceEvent& start) {
   for (std::size_t i = 0; i < schema.num_scalars(); ++i) {
     if (frame_.present[i] == 0) continue;
     if (frame_before_.present[i] == 0 || frame_before_.values[i] != frame_.values[i]) {
-      start.scalar_updates.push_back(ScalarUpdate{schema.scalar_names()[i], frame_.values[i]});
+      start->scalar_updates.push_back(ScalarUpdate{schema.scalar_names()[i], frame_.values[i]});
     }
   }
   for (const DataSchema::Table& table : schema.tables()) {
     for (std::uint32_t i = 0; i < table.size; ++i) {
       if (frame_before_.values[table.base + i] != frame_.values[table.base + i]) {
-        start.table_updates.push_back(TableUpdate{
+        start->table_updates.push_back(TableUpdate{
             table.name, static_cast<std::int64_t>(i), frame_.values[table.base + i]});
       }
     }
@@ -271,48 +273,40 @@ void Simulator::run_action_vm(TransitionId t, TraceEvent& start) {
 
 void Simulator::complete_firing(TransitionId t, std::uint64_t firing_id) {
   TransitionState& st = states_[t.value];
-
-  TraceEvent end;
-  end.kind = TraceEvent::Kind::kEnd;
-  end.time = now_;
-  end.transition = t;
-  end.firing_id = firing_id;
+  TraceEvent* end = sink_ != nullptr
+                        ? &event_.reset(TraceEvent::Kind::kEnd, now_, t, firing_id)
+                        : nullptr;
   for (const Arc& a : net_->outputs(t)) {
     marking_.add(a.place, a.weight);
     mark_place_dirty(a.place);
-    end.produced.push_back(TokenDelta{a.place, a.weight});
+    if (end != nullptr) end->produced.push_back(TokenDelta{a.place, a.weight});
   }
   st.in_flight -= 1;
   mark_dirty(t);
   st.completions += 1;
-  if (sink_ != nullptr) sink_->event(end);
+  if (end != nullptr) sink_->event(*end);
 }
 
 void Simulator::fire_ready_transitions() {
-  std::vector<TransitionId> ready;
-  std::vector<double> weights;
   while (true) {
     // Candidates: transitions that are ready *and still* eligible at this
     // instant (an earlier firing in this loop may have stolen their tokens).
     // The incrementally-maintained ready set IS that list, in ascending id
-    // order; the historical O(T) rescan survives with the reference
-    // eligibility mode.
-    ready.clear();
-    weights.clear();
-    if (options_.incremental_eligibility) {
-      for (const std::uint32_t i : ready_set_) {
-        ready.push_back(TransitionId(i));
-        weights.push_back(net_->frequency(TransitionId(i)));
-      }
-    } else {
+    // order, and is read in place; the historical O(T) rescan survives with
+    // the reference eligibility mode.
+    const std::vector<std::uint32_t>* candidates = &ready_set_;
+    if (!options_.incremental_eligibility) {
+      rescan_ready_.clear();
       for (std::uint32_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].ready && states_[i].eligible) {
-          ready.push_back(TransitionId(i));
-          weights.push_back(net_->frequency(TransitionId(i)));
-        }
+        if (states_[i].ready && states_[i].eligible) rescan_ready_.push_back(i);
       }
+      candidates = &rescan_ready_;
     }
-    if (ready.empty()) return;
+    if (candidates->empty()) return;
+    weights_.clear();
+    for (const std::uint32_t i : *candidates) {
+      weights_.push_back(net_->frequency(TransitionId(i)));
+    }
 
     // Budget guard against zero-delay livelock.
     if (now_ != instant_) {
@@ -327,8 +321,8 @@ void Simulator::fire_ready_transitions() {
           " — the net has a zero-delay livelock");
     }
 
-    const std::size_t pick = rng_.next_weighted(weights);
-    const TransitionId chosen = ready[pick];
+    const std::size_t pick = rng_.next_weighted(weights_);
+    const TransitionId chosen((*candidates)[pick]);
 
     // Firing consumes this transition's readiness; it must wait out a full
     // enabling delay again before its next firing. Mark it dirty so the
@@ -351,19 +345,18 @@ StopReason Simulator::run_until(Time t, std::optional<std::uint64_t> max_events)
 
   while (!queue_.empty() && queue_.top().time <= t) {
     if (max_events && processed >= *max_events) return StopReason::kEventLimit;
-    const QueuedEvent ev = queue_.top();
-    queue_.pop();
+    const QueuedEvent ev = queue_.pop();
 
-    if (ev.kind == EventKind::kEnablingExpiry) {
-      const TransitionState& st = states_[ev.transition.value];
-      if (st.generation != ev.generation) continue;  // stale timer
+    if (ev.kind == QueuedEvent::Kind::kEnablingExpiry) {
+      TransitionState& st = states_[ev.transition];
+      if (st.generation != ev.payload) continue;  // stale timer
       now_ = ev.time;
-      states_[ev.transition.value].ready = true;
+      st.ready = true;
       // A matching generation means continuously eligible since arming.
-      ready_insert(ev.transition.value);
+      ready_insert(ev.transition);
     } else {
       now_ = ev.time;
-      complete_firing(ev.transition, ev.firing_id);
+      complete_firing(TransitionId(ev.transition), ev.payload);
       refresh_eligibility();
     }
     ++processed;

@@ -48,6 +48,15 @@
 // order, so fire_ready_transitions reads the candidate list directly
 // instead of rescanning all T transitions per firing.
 //
+// The steady-state event loop is allocation-free: pending completions and
+// enabling timers live in the 32-byte-record EventQueue (sim/event_queue.h)
+// that BatchSimulator shares, the conflict draw reads the ready set in place
+// with a reused weights buffer, and every Start/End/Atomic delta is written
+// into one reused TraceEvent whose vectors keep their capacity — and only
+// when a sink is attached. (An action's update list copies variable names,
+// so names longer than the small-string buffer still allocate on a traced
+// run.)
+//
 // The engine is deterministic: one seeded Rng drives every random choice,
 // and the event queue breaks time ties by insertion order, so (net, seed,
 // length) reproduces a trace bit-for-bit.
@@ -56,7 +65,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "expr/program.h"
@@ -66,6 +74,7 @@
 #include "petri/marking.h"
 #include "petri/net.h"
 #include "petri/rng.h"
+#include "sim/event_queue.h"
 #include "trace/trace.h"
 
 namespace pnut {
@@ -171,22 +180,6 @@ class Simulator {
     std::uint64_t completions = 0;
   };
 
-  enum class EventKind : std::uint8_t { kFiringComplete, kEnablingExpiry };
-
-  struct QueuedEvent {
-    Time time = 0;
-    std::uint64_t sequence = 0;  ///< tie-break: FIFO within an instant
-    EventKind kind = EventKind::kFiringComplete;
-    TransitionId transition;
-    std::uint64_t firing_id = 0;    ///< kFiringComplete
-    std::uint64_t generation = 0;   ///< kEnablingExpiry
-    /// Min-heap on (time, sequence).
-    friend bool operator>(const QueuedEvent& a, const QueuedEvent& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;
-    }
-  };
-
   // --- incremental eligibility ----------------------------------------------
 
   /// Keep the sorted ready-set in sync with a (ready && eligible) flip.
@@ -218,9 +211,12 @@ class Simulator {
   /// (`code` non-null on the VM path), DelaySpec::sample otherwise.
   [[nodiscard]] Time sample_delay(const DelaySpec& spec, const expr::Code* code);
 
-  /// Run `t`'s action on the slot frame and append the frame diff to the
-  /// trace event (the VM-path twin of the DataContext diff in start_firing).
-  void run_action_vm(TransitionId t, TraceEvent& start);
+  /// Run `t`'s action on the slot frame; with a trace event (null when no
+  /// sink is attached), append the frame diff to it.
+  void run_action_vm(TransitionId t, TraceEvent* start);
+  /// The same on the DataContext path. The diff also backs the
+  /// created-table check, so it runs with or without a trace event.
+  void run_action_ast(TransitionId t, TraceEvent* start);
 
   /// Fire every ready transition at the current instant, resolving
   /// conflicts probabilistically, until none remain ready.
@@ -232,8 +228,6 @@ class Simulator {
 
   /// Apply `t`'s completion: produce tokens, emit End.
   void complete_firing(TransitionId t, std::uint64_t firing_id);
-
-  void schedule(QueuedEvent ev);
 
   std::shared_ptr<const CompiledNet> net_;
   SimOptions options_;
@@ -257,8 +251,10 @@ class Simulator {
   std::vector<std::uint8_t> dirty_flag_;   ///< membership bitmap for dirty_
   std::vector<std::uint32_t> ready_set_;   ///< ids with ready && eligible, ascending
   std::vector<std::uint8_t> in_ready_;     ///< membership bitmap for ready_set_
-  std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, std::greater<>> queue_;
-  std::uint64_t next_sequence_ = 0;
+  std::vector<std::uint32_t> rescan_ready_;  ///< candidates (whole-net rescan mode)
+  std::vector<double> weights_;            ///< conflict-draw weights, reused
+  EventQueue queue_;
+  TraceEvent event_;  ///< the one delta handed to the sink, reused
   std::uint64_t next_firing_id_ = 0;
   std::uint64_t immediate_firings_this_instant_ = 0;
   Time instant_ = -1;  ///< the instant the immediate budget counts against

@@ -68,6 +68,20 @@ struct TraceEvent {
   std::vector<ScalarUpdate> scalar_updates;  ///< kStart / kAtomic (action effects)
   std::vector<TableUpdate> table_updates;    ///< kStart / kAtomic
 
+  /// Reuse this event for a new delta: set the header and empty the delta
+  /// lists, keeping their capacity (the engines' allocation-free path).
+  TraceEvent& reset(Kind k, Time at, TransitionId t, std::uint64_t firing) {
+    kind = k;
+    time = at;
+    transition = t;
+    firing_id = firing;
+    consumed.clear();
+    produced.clear();
+    scalar_updates.clear();
+    table_updates.clear();
+    return *this;
+  }
+
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
@@ -88,6 +102,11 @@ struct TraceHeader {
 
 /// Receiver of a simulation run. The simulator calls begin() once, event()
 /// per state delta in nondecreasing time order, and end() once.
+///
+/// The TraceEvent passed to event() is valid only for the duration of the
+/// call: the engines reuse one event object for every delta, so its fields
+/// and vectors are overwritten by the next call. A sink that keeps an event
+/// must copy it, as RecordedTrace does.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -667,6 +667,42 @@ TEST_F(ServeTest, ShutdownRacingInflightRequestsYieldsCompleteFrames) {
   server.stop();
 }
 
+TEST_F(ServeTest, MultiChunkResponsesDoNotStallOnDelayedAck) {
+  // A response longer than the server's 4 KiB write buffer goes out in
+  // several sends. Without TCP_NODELAY the second one waits for the
+  // client's delayed ACK (~40 ms on Linux), so 20 round trips would take
+  // ~0.9 s; with it they take milliseconds.
+  const std::string big = write_ring("print_ring", 300, 1);
+  const Framed direct = run_direct({"print", big});
+  ASSERT_EQ(direct.code, 0);
+  ASSERT_GT(direct.out.size(), 8192U);
+
+  cli::SessionOptions options;
+  options.cache = true;
+  cli::Session session(options);
+  Server server(session, 0);
+  server.start();
+  RawClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_EQ(client.read_exact(std::strlen(kGreeting)), kGreeting);
+
+  const std::string request = to_line({"print", big});
+  const std::string frame = "= 0 " + std::to_string(direct.out.size()) + " 0\n" + direct.out;
+  constexpr int kRoundTrips = 20;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRoundTrips; ++i) {
+    client.send_line(request);
+    ASSERT_EQ(client.read_exact(frame.size()), frame) << "round trip " << i;
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(seconds, 0.3) << kRoundTrips << " round trips of a " << direct.out.size()
+                          << "-byte response";
+
+  client.close();
+  server.stop();
+}
+
 #undef ASSERT_EQ_RET
 
 }  // namespace

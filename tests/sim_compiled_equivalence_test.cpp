@@ -12,15 +12,21 @@
 //  2. Golden anchors: trace fingerprints (event count, firing starts, an
 //     FNV-1a hash over the full event stream, and the final marking)
 //     captured from the pre-refactor simulator on the paper's models.
-//     (net, seed, horizon) must keep reproducing those exact traces.
+//     (net, seed, horizon) must keep reproducing those exact traces. The
+//     shipped examples/models/*.pn anchors (captured before the event loop
+//     went allocation-free) pin the param/fn computed-delay path that the
+//     C++-built models do not exercise.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "petri/compiled_net.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
+#include "textio/pn_format.h"
 #include "trace/trace.h"
 
 namespace pnut {
@@ -126,6 +132,57 @@ TEST(SimCompiledEquivalence, GoldenFigure4InterpretedPipeline) {
                 {99, 2000, 2533, 1992, 0xdac6e78af91969d0ULL,
                  "Bus_busy=1 Operand_fetch_pending=1 Empty_I_buffers=1 "
                  "Full_I_buffers=3 pre_fetching=1"});
+}
+
+// --- golden anchors on the shipped .pn models --------------------------------
+
+Net load_shipped_model(const std::string& file) {
+  std::ifstream in(std::string(PNUT_MODELS_DIR) + "/" + file);
+  std::stringstream text;
+  text << in.rdbuf();
+  return textio::parse_net(text.str()).net;
+}
+
+TEST(SimCompiledEquivalence, GoldenShippedPipelineNocache) {
+  const Net net = load_shipped_model("pipeline_nocache.pn");
+  expect_golden(net, {1, 2000, 2094, 1611, 0xb4c227f0853618a4ULL,
+                      "Bus_busy=1 Empty_I_buffers=1 Full_I_buffers=5 "
+                      "ready_to_issue_instruction=1 storing=1"});
+  // The scripted port of build_full_model reproduces its golden trace.
+  expect_golden(net, {7, 2000, 2392, 1837, 0x6c7860d2c78cafc8ULL,
+                      "Bus_free=1 Full_I_buffers=6 ready_to_issue_instruction=1"});
+}
+
+TEST(SimCompiledEquivalence, GoldenShippedIcache) {
+  const Net net = load_shipped_model("ext_cache_icache.pn");
+  expect_golden(net, {1, 2000, 2537, 1948, 0xeeeec4b50563ce2dULL,
+                      "Bus_busy=1 Result_store_pending=1 Empty_I_buffers=1 "
+                      "Full_I_buffers=3 pre_fetching=1 Start_prefetch_miss_route=1 "
+                      "ready_to_issue_instruction=1"});
+  expect_golden(net, {7, 2000, 2539, 1951, 0x93f30e43b679850cULL,
+                      "Bus_busy=1 Full_I_buffers=3 pre_fetching=1 "
+                      "Start_prefetch_hit_route=1"});
+}
+
+TEST(SimCompiledEquivalence, GoldenShippedDcache) {
+  const Net net = load_shipped_model("ext_cache_dcache.pn");
+  expect_golden(net, {1, 2000, 2506, 1928, 0xf84f18f48ada3c38ULL,
+                      "Bus_busy=1 Empty_I_buffers=1 Full_I_buffers=5 Type3_pending=1 "
+                      "fetching=1 Operands_fetched=1 start_fetch_miss_route=1 "
+                      "Execution_unit=1"});
+  expect_golden(net, {7, 2000, 2634, 2022, 0xde16e28f777d898eULL,
+                      "Bus_busy=1 Empty_I_buffers=1 Full_I_buffers=5 Type2_pending=1 "
+                      "fetching=1 start_fetch_miss_route=1 Execution_unit=1"});
+}
+
+TEST(SimCompiledEquivalence, GoldenShippedUnified) {
+  const Net net = load_shipped_model("ext_cache_unified.pn");
+  expect_golden(net, {1, 2000, 2987, 2294, 0x5215cf03d42cd07dULL,
+                      "Bus_free=1 Empty_I_buffers=1 Full_I_buffers=5 "
+                      "ready_to_issue_instruction=1"});
+  expect_golden(net, {7, 2000, 3095, 2377, 0x9da606b63b4f0e31ULL,
+                      "Bus_busy=1 Operand_fetch_pending=1 Full_I_buffers=4 pre_fetching=1 "
+                      "Start_prefetch_miss_route=1 Type2_pending=1 Execution_unit=1"});
 }
 
 // --- incremental vs whole-net rescan ----------------------------------------
