@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <string_view>
-#include <thread>
 
 #include "analysis/reachability.h"
 #include "analysis/state_store.h"
@@ -96,28 +95,6 @@ std::vector<Model> make_models() {
 constexpr double kFig4PreVmStatesPerSecond = 97'316;
 constexpr double kFig4PreVmBytesPerState = 1688.4;
 
-/// One parallel-scaling point: build the graph once at `threads` workers.
-GraphRun measure_parallel(const Net& net, unsigned threads, const Golden& golden) {
-  analysis::ReachOptions options;
-  options.max_states = 1'000'000;
-  options.threads = threads;
-  GraphRun run;
-  const auto t0 = std::chrono::steady_clock::now();
-  const analysis::ReachabilityGraph graph(net, options);
-  const auto t1 = std::chrono::steady_clock::now();
-  run.states_per_second = static_cast<double>(graph.num_states()) /
-                          std::chrono::duration<double>(t1 - t0).count();
-  run.bytes_per_state =
-      static_cast<double>(graph.memory_bytes()) / static_cast<double>(graph.num_states());
-  run.counts_ok = graph.status() == analysis::ReachStatus::kComplete &&
-                  graph.num_states() == golden.states &&
-                  graph.num_edges() == golden.edges &&
-                  graph.deadlock_states().size() == golden.deadlocks;
-  return run;
-}
-
-constexpr unsigned kScalingThreads[] = {1, 2, 4, 8};
-
 /// Out-of-core sweep: one ring family at growing sizes, built all-in-RAM
 /// and again under a fixed residency budget the larger sizes cannot fit.
 /// Reports the throughput cost of going out-of-core and the spilled /
@@ -160,22 +137,18 @@ SpillRun measure_spill(const Net& net) {
   return run;
 }
 
-/// One timed-graph scaling point: build the timed race ring's graph once
-/// at `threads` workers (threads == 1 runs the sequential two-bucket
-/// builder) and check the frozen golden counts.
-GraphRun measure_timed_parallel(const Net& net, unsigned threads, const Golden& golden) {
+/// One timed-graph build of the race ring, checked against its frozen
+/// golden counts.
+GraphRun measure_timed(const Net& net, const Golden& golden) {
   analysis::TimedReachOptions options;
   options.max_states = 1'000'000;
   options.max_time = 1'000'000;
-  options.threads = threads;
   GraphRun run;
   const auto t0 = std::chrono::steady_clock::now();
   const analysis::TimedReachabilityGraph graph(net, options);
   const auto t1 = std::chrono::steady_clock::now();
   run.states_per_second = static_cast<double>(graph.num_states()) /
                           std::chrono::duration<double>(t1 - t0).count();
-  run.bytes_per_state =
-      static_cast<double>(graph.memory_bytes()) / static_cast<double>(graph.num_states());
   std::size_t edges = 0;
   for (std::size_t s = 0; s < graph.num_states(); ++s) edges += graph.edges(s).size();
   run.counts_ok = graph.status() == analysis::TimedReachStatus::kComplete &&
@@ -206,40 +179,12 @@ void print_artifact() {
   }
   std::printf("\n");
 
-  // Parallel exploration scaling on the million-state-class ring. The
-  // graphs are byte-identical across thread counts (the differential tests
-  // pin that); here we also re-check the frozen golden counts per point.
-  const Net scaling_net = stress_ring(38, 5);
-  std::vector<GraphRun> scaling;
-  for (const unsigned threads : kScalingThreads) {
-    const GraphRun run =
-        measure_parallel(scaling_net, threads, reach_models::kStressRing38x5);
-    scaling.push_back(run);
-    std::printf("stress ring @%u thread%s %10.3g states/s  (%.2fx vs 1 thread)  "
-                "counts %s\n",
-                threads, threads == 1 ? " " : "s", run.states_per_second,
-                run.states_per_second / scaling.front().states_per_second,
-                run.counts_ok ? "match golden" : "MISMATCH");
-  }
-  std::printf("\n");
-
-  // Timed-graph scaling on the race ring (~420k timed states: same-instant
-  // races + in-flight desync; see reach_models.h). threads == 1 is the
-  // sequential two-bucket builder; the graphs are byte-identical across
-  // thread counts (the timed differential tests pin that).
-  const Net timed_net = reach_models::timed_race_ring(12, 3);
-  std::vector<GraphRun> timed_scaling;
-  for (const unsigned threads : kScalingThreads) {
-    const GraphRun run =
-        measure_timed_parallel(timed_net, threads, reach_models::kTimedRaceRing12x3);
-    timed_scaling.push_back(run);
-    std::printf("timed race ring @%u thread%s %10.3g states/s  (%.2fx vs 1 thread)  "
-                "counts %s\n",
-                threads, threads == 1 ? " " : "s", run.states_per_second,
-                run.states_per_second / timed_scaling.front().states_per_second,
-                run.counts_ok ? "match golden" : "MISMATCH");
-  }
-  std::printf("\n");
+  // The timed graph of the race ring (~420k timed states: same-instant
+  // races + in-flight desync; see reach_models.h).
+  const GraphRun timed =
+      measure_timed(reach_models::timed_race_ring(12, 3), reach_models::kTimedRaceRing12x3);
+  std::printf("timed race ring 12x3    %10.3g states/s  counts %s\n\n",
+              timed.states_per_second, timed.counts_ok ? "match golden" : "MISMATCH");
 
   // Out-of-core sweep across the resident/spilled boundary: the small
   // ring fits the 32 MB budget (spill configured but never engaged), the
@@ -285,47 +230,17 @@ void print_artifact() {
     }
     std::fprintf(json,
                  "  },\n"
-                 "  \"parallel_scaling\": {\n"
-                 "    \"model\": \"stress_ring_38x5\",\n"
-                 "    \"note\": \"ReachOptions::threads sweep; graphs are "
-                 "byte-identical across thread counts\",\n"
-                 "    \"host_hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    bool scaling_counts_ok = true;
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-      scaling_counts_ok = scaling_counts_ok && scaling[i].counts_ok;
-      std::fprintf(json,
-                   "    \"threads_%u\": {\"states_per_second\": %.0f, "
-                   "\"speedup_vs_1_thread\": %.2f},\n",
-                   kScalingThreads[i], scaling[i].states_per_second,
-                   scaling[i].states_per_second / scaling[0].states_per_second);
-    }
-    std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n",
-                 scaling_counts_ok ? "true" : "false");
-    std::fprintf(json,
-                 "  \"timed_parallel_scaling\": {\n"
-                 "    \"model\": \"timed_race_ring_12x3\",\n"
-                 "    \"note\": \"TimedReachOptions::threads sweep; threads_1 is the "
-                 "sequential two-bucket builder, graphs byte-identical across "
-                 "thread counts\",\n"
+                 "  \"timed_race_ring_12x3\": {\n"
                  "    \"states\": %zu,\n"
                  "    \"edges\": %zu,\n"
-                 "    \"host_hardware_threads\": %u,\n",
+                 "    \"deadlocks\": %zu,\n"
+                 "    \"counts_match_golden\": %s,\n"
+                 "    \"states_per_second\": %.0f\n"
+                 "  },\n",
                  reach_models::kTimedRaceRing12x3.states,
                  reach_models::kTimedRaceRing12x3.edges,
-                 std::thread::hardware_concurrency());
-    bool timed_counts_ok = true;
-    for (std::size_t i = 0; i < timed_scaling.size(); ++i) {
-      timed_counts_ok = timed_counts_ok && timed_scaling[i].counts_ok;
-      std::fprintf(json,
-                   "    \"threads_%u\": {\"states_per_second\": %.0f, "
-                   "\"speedup_vs_1_thread\": %.2f},\n",
-                   kScalingThreads[i], timed_scaling[i].states_per_second,
-                   timed_scaling[i].states_per_second /
-                       timed_scaling[0].states_per_second);
-    }
-    std::fprintf(json, "    \"counts_match_golden\": %s\n  },\n",
-                 timed_counts_ok ? "true" : "false");
+                 reach_models::kTimedRaceRing12x3.deadlocks,
+                 timed.counts_ok ? "true" : "false", timed.states_per_second);
     std::fprintf(json,
                  "  \"spill_sweep\": {\n"
                  "    \"note\": \"stress_ring(n, 5) built all-in-RAM and again "
@@ -394,24 +309,6 @@ void BM_ReachStressRing(benchmark::State& state) {
 }
 BENCHMARK(BM_ReachStressRing)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
 
-void BM_ReachStressRingParallel(benchmark::State& state) {
-  // Thread sweep at fixed model size (24 places x 4 tokens, 17,550 states).
-  const Net net = stress_ring(24, 4);
-  analysis::ReachOptions options;
-  options.max_states = 1'000'000;
-  options.threads = static_cast<unsigned>(state.range(0));
-  std::size_t states = 0;
-  for (auto _ : state) {
-    const analysis::ReachabilityGraph graph(net, options);
-    states = graph.num_states();
-    benchmark::DoNotOptimize(states);
-  }
-  state.counters["states_per_s"] = benchmark::Counter(
-      static_cast<double>(states) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ReachStressRingParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_TimedReachFullModel(benchmark::State& state) {
   const Net net = pipeline::build_full_model();
   for (auto _ : state) {
@@ -421,14 +318,13 @@ void BM_TimedReachFullModel(benchmark::State& state) {
 }
 BENCHMARK(BM_TimedReachFullModel);
 
-void BM_TimedReachRaceRingParallel(benchmark::State& state) {
-  // Thread sweep at fixed model size: the 12x4 race ring (31,928 timed
-  // states — smaller than the artifact pass's 12x3 to keep iterations sane).
+void BM_TimedReachRaceRing(benchmark::State& state) {
+  // The 12x4 race ring (31,928 timed states — smaller than the artifact
+  // pass's 12x3 to keep iterations sane).
   const Net net = reach_models::timed_race_ring(12, 4);
   analysis::TimedReachOptions options;
   options.max_states = 1'000'000;
   options.max_time = 1'000'000;
-  options.threads = static_cast<unsigned>(state.range(0));
   std::size_t states = 0;
   for (auto _ : state) {
     const analysis::TimedReachabilityGraph graph(net, options);
@@ -439,7 +335,7 @@ void BM_TimedReachRaceRingParallel(benchmark::State& state) {
       static_cast<double>(states) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TimedReachRaceRingParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_TimedReachRaceRing);
 
 void BM_StateStoreIntern(benchmark::State& state) {
   // Raw interning throughput at the bench's word width: first insertion of

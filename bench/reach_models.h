@@ -47,13 +47,12 @@ inline Net stress_ring(std::size_t places, TokenCount tokens) {
   return net;
 }
 
-/// Golden counts for timed_race_ring(12, 3), frozen from the sequential
-/// two-bucket builder the day the timed parallel engine landed: the
-/// builders are deterministic, so these are hard pins, not estimates.
+/// Golden counts for timed_race_ring(12, 3), frozen from the two-bucket
+/// builder: it is deterministic, so these are hard pins, not estimates.
 inline constexpr Golden kTimedRaceRing12x3{418'593, 817'242, 0};
 
-/// Timed stress net for the timed-graph scaling sweep and differential
-/// harness. A plain delayed ring is useless for this — maximal progress
+/// Timed stress net for the timed-graph bench, the stop tests and the
+/// reference-oracle harness. A plain delayed ring is useless for this — maximal progress
 /// makes lockstep tokens march deterministically and the graph collapses
 /// to a few hundred states — so every place instead feeds TWO competitors
 /// with the *same* enabling delay (a same-instant race: both are ready on
@@ -62,7 +61,7 @@ inline constexpr Golden kTimedRaceRing12x3{418'593, 817'242, 0};
 /// in 1 cycle, hop 2 in 2): the in-flight completions desynchronize the
 /// tokens, so markings, enabling timers and in-flight counts all vary
 /// independently. A token every 3rd place of a 12-ring yields ~420k timed
-/// states — the million-state-class workload for the parallel engine.
+/// states — the timed graph's large-state-space workload.
 inline Net timed_race_ring(std::size_t places, std::size_t token_spread) {
   Net net("timed_race_ring");
   std::vector<PlaceId> ps;

@@ -82,8 +82,8 @@ struct InvariantViolation {
 /// P-invariant over every state of an explored reachability graph — one
 /// flat scan of the state arena. Sound on truncated graphs too: every
 /// discovered marking is reachable, so any deviation found is real (the
-/// check just cannot be exhaustive there). The graph inherits whatever
-/// ReachOptions::threads it was built with; this pass is a read-only scan.
+/// check just cannot be exhaustive there). A read-only streaming scan, so
+/// it works on a spilled graph too.
 std::vector<InvariantViolation> check_place_invariants_on_graph(
     const ReachabilityGraph& graph, const std::vector<Invariant>& invariants);
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
-
-#include "analysis/parallel_exploration.h"
 
 namespace pnut::analysis {
 
@@ -30,37 +27,7 @@ ReachabilityGraph::ReachabilityGraph(std::shared_ptr<const CompiledNet> net,
   explore(options);
 }
 
-void ReachabilityGraph::explore(ReachOptions options) {
-  unsigned threads = options.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  // Data words join the intern key only when an action can change them.
-  track_data_ = net_->net_has_actions();
-  // Every hook runs as bytecode; a net whose hooks do not all compile is
-  // rejected up front, before any storage (or spill directory) exists.
-  if (net_->net_has_hooks()) {
-    std::string error;
-    program_ = expr::NetProgram::compile(net_->net(), &error);
-    if (program_ == nullptr) throw std::invalid_argument("reachability: " + error);
-  }
-
-  if (threads > 1) {
-    ParallelReachResult result =
-        explore_reachability_parallel(net_, options, threads, program_);
-    store_ = std::move(result.store);
-    edges_ = std::move(result.edges);
-    status_ = result.status;
-    num_expanded_ = result.num_expanded;
-    aux_peak_bytes_ = result.aux_peak_bytes;
-    aux_spill_engaged_ = result.aux_spill_engaged;
-    return;
-  }
-  explore_sequential(options);
-}
-
-void ReachabilityGraph::configure_spill_sequential(const ReachOptions& options) {
+void ReachabilityGraph::configure_spill(const ReachOptions& options) {
   if (options.spill.max_resident_bytes == 0) return;
   auto dir = std::make_shared<detail::SpillDir>(options.spill.dir);
   const std::size_t budget = options.spill.max_resident_bytes;
@@ -72,12 +39,22 @@ void ReachabilityGraph::configure_spill_sequential(const ReachOptions& options) 
                       budget / 3);
 }
 
-void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
+void ReachabilityGraph::explore(const ReachOptions& options) {
+  // Data words join the intern key only when an action can change them.
+  track_data_ = net_->net_has_actions();
+  // Every hook runs as bytecode; a net whose hooks do not all compile is
+  // rejected up front, before any storage (or spill directory) exists.
+  if (net_->net_has_hooks()) {
+    std::string error;
+    program_ = expr::NetProgram::compile(net_->net(), &error);
+    if (program_ == nullptr) throw std::invalid_argument("reachability: " + error);
+  }
+
   const std::size_t num_places = net_->num_places();
   const std::size_t data_words = track_data_ ? program_->schema().encoded_words() : 0;
   const std::size_t width = num_places + data_words;
   store_ = StateStore(width);
-  configure_spill_sequential(options);
+  configure_spill(options);
 
   // The expansion loop works in place on one scratch word vector: the
   // parent state's words are copied in once, each firing's token delta is
@@ -127,9 +104,8 @@ void ReachabilityGraph::explore_sequential(const ReachOptions& options) {
   std::size_t num_outcomes = 0;
 
   num_expanded_ = drive_frontier_bfs(frontier, edges_, [&](std::uint32_t state) {
-    // Canonical-position stop poll: expansion order is canonical id order
-    // in every engine (the parallel seal replays parents in this exact
-    // order), so a stop here lands on the same state at any thread count.
+    // Canonical-position stop poll: expansion order is canonical id order,
+    // so a stop here always lands on the same state.
     if (state % kStopCheckStride == 0) {
       if (const StopToken::Reason r = options.stop.poll(); r != StopToken::Reason::kNone) {
         status_ = stop_status(r);

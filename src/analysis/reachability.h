@@ -21,7 +21,7 @@
 // state's data as encoded slot words next to its marking. A net with an
 // opaque C++ hook, or with an expression that does not compile (a builtin
 // arity mistake), is rejected with std::invalid_argument naming the
-// transition and hook, at every thread count and spill setting.
+// transition and hook, with or without spilling.
 //
 // An action calling `irand` makes the data successor nondeterministic. The
 // builder samples each action `irand_fanout_limit` times with distinct
@@ -65,26 +65,22 @@ struct ReachOptions {
   /// Samples drawn per stochastic action firing (distinct outcomes each
   /// become a successor).
   std::size_t irand_fanout_limit = 64;
-  /// Worker threads for graph construction. 1 (the default) keeps the
-  /// sequential builder; 0 means hardware_concurrency. Any value produces
-  /// byte-identical graphs — states are renumbered into canonical BFS
-  /// discovery order after every parallel level, so state ids, edge order,
-  /// deadlock sets and place bounds are thread-count-independent (see
-  /// analysis/parallel_exploration.h).
+  /// Ignored: the graph is always built by one thread. The field stays
+  /// only because perfbench/src/explore_phase.cpp still assigns it; nothing
+  /// else may set or read it.
   unsigned threads = 1;
   /// Out-of-core exploration (spill.h): when max_resident_bytes is set,
   /// sealed BFS levels and edge rows spill to mmap'd segment files once the
   /// exact resident accounting (memory_bytes()) exceeds the budget. The
   /// graph — state ids, edge order, statuses — is byte-identical to the
-  /// all-in-RAM build at every thread count, because spilling happens
-  /// strictly after a level seals.
+  /// all-in-RAM build, because only states behind the BFS cursor spill.
   SpillOptions spill;
   /// Cooperative deadline/cancellation (util/stop.h). Polled at canonical
   /// event positions (every kStopCheckStride-th expanded parent), so a
-  /// stopped build terminates at a position deterministic across engines
-  /// and thread counts: the truncated prefix (status kTimeout/kCancelled)
-  /// is byte-identical to the same-options unstopped run's prefix, exactly
-  /// like max_states truncation. The default token never stops anything.
+  /// stopped build terminates at a deterministic position: the truncated
+  /// prefix (status kTimeout/kCancelled) is byte-identical to the
+  /// same-options unstopped run's prefix, exactly like max_states
+  /// truncation. The default token never stops anything.
   StopToken stop;
 };
 
@@ -194,26 +190,22 @@ class ReachabilityGraph final : public StateSpace {
 
   /// True if the build (or a query since) actually wrote segments to disk.
   [[nodiscard]] bool spill_engaged() const {
-    return store_.spill_engaged() || edges_.spill_engaged() || aux_spill_engaged_;
+    return store_.spill_engaged() || edges_.spill_engaged();
   }
   /// Bytes currently held in spill segment files (states + edges).
   [[nodiscard]] std::size_t spilled_bytes() const {
     return store_.spilled_bytes() + edges_.spilled_bytes();
   }
-  /// High-water resident footprint across the build and all queries,
-  /// including the parallel builder's (since destroyed) shard stores.
+  /// High-water resident footprint across the build and all queries.
   [[nodiscard]] std::size_t peak_resident_bytes() const {
-    return store_.peak_resident_bytes() + edges_.peak_resident_bytes() +
-           aux_peak_bytes_;
+    return store_.peak_resident_bytes() + edges_.peak_resident_bytes();
   }
 
  private:
-  void explore(ReachOptions options);
-  /// Sequential spill setup: shared SpillDir, 2/3 of the budget to the
-  /// state arena, 1/3 to the edge pool. No-op when spilling is disabled.
-  void configure_spill_sequential(const ReachOptions& options);
-  /// The sequential builder (threads == 1).
-  void explore_sequential(const ReachOptions& options);
+  void explore(const ReachOptions& options);
+  /// Spill setup: shared SpillDir, 2/3 of the budget to the state arena,
+  /// 1/3 to the edge pool. No-op when spilling is disabled.
+  void configure_spill(const ReachOptions& options);
 
   std::shared_ptr<const CompiledNet> net_;
   ReachStatus status_ = ReachStatus::kComplete;
@@ -222,10 +214,6 @@ class ReachabilityGraph final : public StateSpace {
   /// Data words join each state's arena words (net_has_actions()).
   bool track_data_ = false;
   std::size_t num_expanded_ = 0;  ///< fully-expanded prefix length
-  /// Parallel-build extras folded into the spill accounting: the shard
-  /// stores' peak resident bytes and whether any shard spilled.
-  std::size_t aux_peak_bytes_ = 0;
-  bool aux_spill_engaged_ = false;
 
   /// Bytecode runtime (null for a plain net, which has no hooks);
   /// query-time scratch for decoding per-state frames out of the arena. The

@@ -1,13 +1,8 @@
-// Shared state encoding and successor rule for the timed reachability
-// explorers.
-//
-// The sequential builder (timed_reachability.cpp) and the parallel engine
-// (timed_parallel_exploration.cpp) must agree *exactly* on how a timed
-// state is turned into arena words and which successors leave it in which
-// order — the differential tests pin the two paths bit-identical — so the
-// word layout, the timed eligibility/normalization rules, and the one
-// successor-enumeration function live here, the way exploration.h's
-// detail helpers serve the untimed builders.
+// State encoding, scheduler and successor rule of the timed reachability
+// builder (timed_reachability.cpp): the word layout, the timed
+// eligibility/normalization rules, the two-bucket 0-1 BFS scheduler and
+// the one successor-enumeration function, the way exploration.h's detail
+// helpers serve the untimed builder.
 //
 // Word layout of an interned timed state (see timed_reachability.h):
 //   [ marking tokens | per-transition remaining enabling delay |
@@ -33,11 +28,9 @@
 
 namespace pnut::analysis::detail {
 
-/// The two-bucket 0-1 BFS scheduler state shared by the sequential builder
-/// and the parallel seal — the piece of the timed exploration that MUST be
-/// byte-for-byte identical between them (canonical ids are its discovery
+/// The two-bucket 0-1 BFS scheduler state: canonical ids are its discovery
 /// order, earliest times its arrival bookkeeping, truncation its stop
-/// rules), so it lives here once instead of being maintained in two copies.
+/// rules.
 ///
 /// `current` is the cost-0 (firing) closure of the instant `now`, expanded
 /// FIFO to a fixed point; `next` stages the tick targets of the following
@@ -56,11 +49,9 @@ struct TimedSchedule {
   std::vector<std::uint8_t> expanded;  ///< per state: edge row is complete
   std::uint64_t now = 0;
   TimedReachStatus status = TimedReachStatus::kComplete;
-  /// Stop-poll accounting, shared so both engines poll at identical
-  /// canonical positions: exactly one poll_due() call per expanded state
-  /// (the sequential pop and the parallel seal walk visit states in the
-  /// same order), due every kStopCheckStride states plus the first state
-  /// after each tick (instant boundaries).
+  /// Stop-poll accounting at canonical positions: exactly one poll_due()
+  /// call per expanded state, due every kStopCheckStride states plus the
+  /// first state after each tick (instant boundaries).
   std::uint64_t expand_count = 0;
   bool poll_pending = false;
 
@@ -86,9 +77,8 @@ struct TimedSchedule {
   /// applies the stop rules, and schedules the target (current-closure
   /// promotion, next-bucket staging, or horizon-gated nothing). The caller
   /// adds the edge itself *before* calling (the max_states stop keeps the
-  /// edge that hit the cap, exactly like the sequential builder always
-  /// did). Returns false when max_states hit: stop everything, the
-  /// expanding parent's row stays partial and unmarked.
+  /// edge that hit the cap). Returns false when max_states hit: stop
+  /// everything, the expanding parent's row stays partial and unmarked.
   bool record(std::uint32_t target, bool fresh, std::uint64_t cost,
               std::size_t num_states, const TimedReachOptions& options) {
     const std::uint64_t arrival = now + cost;
@@ -273,13 +263,13 @@ inline TimedState timed_initial_state(const CompiledNet& net, const TimedLayout&
   return initial;
 }
 
-/// Enumerate the timed successors of `s` in the canonical order both
-/// explorers share: ready firings in ascending transition order (maximal
-/// progress — time may not pass while something is ready), else the single
-/// one-cycle tick, else nothing (timed deadlock). `emit(label, next, cost)`
+/// Enumerate the timed successors of `s` in canonical order: ready firings
+/// in ascending transition order (maximal progress — time may not pass
+/// while something is ready), else the single one-cycle tick, else nothing
+/// (timed deadlock). `emit(label, next, cost)`
 /// — label nullopt for the tick, cost 0 for firings and 1 for the tick —
 /// returns false to abort the enumeration; the function then returns false
-/// (the sequential builder's state-cap stop rule).
+/// (the builder's state-cap stop rule).
 template <typename EmitFn>
 bool for_each_timed_successor(const CompiledNet& net, const TimedLayout& layout,
                               const TimedState& s, EmitFn&& emit) {

@@ -54,15 +54,24 @@ Args::Args(const std::vector<std::string>& argv, std::size_t start,
   }
 }
 
+double parse_number(const std::string& flag, const std::string& raw) {
+  std::size_t consumed = 0;
+  double value = 0;
+  try {
+    value = std::stod(raw, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  // `500abc` and `5s` are typos, not 500 and 5: the whole value must parse.
+  if (consumed == 0 || consumed != raw.size()) {
+    throw std::invalid_argument("flag --" + flag + " expects a number, got '" + raw + "'");
+  }
+  return value;
+}
+
 double Args::get_number(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
-  }
+  return it == flags_.end() ? fallback : parse_number(name, it->second);
 }
 
 std::uint64_t Args::get_uint64(const std::string& name, std::uint64_t fallback) const {
@@ -82,13 +91,13 @@ std::uint64_t Args::get_uint64(const std::string& name, std::uint64_t fallback) 
 }
 
 unsigned parse_threads(const Args& args) {
-  constexpr double kMaxThreads = 4096;
-  const double raw = args.get_number("threads", 1);
-  if (raw < 0 || raw > kMaxThreads || raw != std::floor(raw)) {
+  constexpr std::uint64_t kMaxThreads = 4096;
+  const std::uint64_t threads = args.get_uint64("threads", 1);
+  if (threads > kMaxThreads) {
     throw std::invalid_argument(
         "--threads must be an integer in [0, 4096] (0 = all hardware threads)");
   }
-  return static_cast<unsigned>(raw);
+  return static_cast<unsigned>(threads);
 }
 
 std::optional<std::size_t> parse_byte_size(const std::string& raw) {

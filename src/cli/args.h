@@ -49,6 +49,8 @@ class Args {
     return it == flags_.end() ? fallback : it->second;
   }
 
+  /// A decimal or floating-point number that must span the whole value:
+  /// `--until 500abc` or `--timeout 5s` is a usage error naming the flag.
   [[nodiscard]] double get_number(const std::string& name, double fallback) const;
 
   /// Strict base-10 unsigned 64-bit integer: the full [0, 2^64) range is
@@ -64,11 +66,16 @@ class Args {
   std::vector<std::string> markers_;
 };
 
-/// One `--threads` rule for every command that explores or replicates:
-/// a non-negative integer, 0 meaning all hardware threads (the engines
-/// resolve 0 themselves). Negative, fractional and absurd values are
-/// rejected up front — a four-billion-thread request should be a usage
-/// error, not std::thread resource exhaustion.
+/// The whole of `raw` as a number (std::stod syntax), else
+/// std::invalid_argument naming `--flag`. get_number's rule, for values
+/// that arrive outside a plain flag (render's `--marker X=T`).
+double parse_number(const std::string& flag, const std::string& raw);
+
+/// The `--threads` rule of `replicate`: a strict non-negative integer in
+/// [0, 4096], 0 meaning all hardware threads (the batch engine resolves 0
+/// itself). Signs, fractions, suffixes and absurd values are rejected up
+/// front — a four-billion-thread request should be a usage error, not
+/// std::thread resource exhaustion.
 unsigned parse_threads(const Args& args);
 
 /// A byte count with an optional K/M/G binary suffix. Returns nullopt for

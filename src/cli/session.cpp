@@ -52,16 +52,11 @@ const FlagSpec* spec_for(const std::string& command) {
        {{"replications", "horizon", "seed", "threads", "timeout"}, {}, false}},
       {"stat", {}},
       {"query",
-       {{"reach", "max-states", "threads", "max-resident-bytes", "spill-dir",
-         "timeout"},
-        {},
-        false}},
+       {{"reach", "max-states", "max-resident-bytes", "spill-dir", "timeout"}, {}, false}},
       {"render", {{"signals", "from", "to", "columns"}, {"unicode"}, true}},
       {"animate", {{"steps"}, {}, false}},
       {"analyze",
-       {{"max-states", "threads", "max-resident-bytes", "spill-dir", "timeout"},
-        {},
-        false}},
+       {{"max-states", "max-resident-bytes", "spill-dir", "timeout"}, {}, false}},
   };
   const auto it = kSpecs.find(command);
   return it == kSpecs.end() ? nullptr : &it->second;
@@ -105,25 +100,19 @@ const std::string& require_positional(const Args& args, std::size_t index,
 }
 
 /// Canonical, order-fixed rendering of every ReachOptions field that shapes
-/// a command's output. threads is included although the graph words are
-/// pinned identical across thread counts: the storage report
-/// (memory_bytes) genuinely differs between the sequential and parallel
-/// builders, and a cache hit must never print a line the direct invocation
-/// would not have.
+/// a command's output: a cache hit must never print a line the direct
+/// invocation would not have.
 std::string reach_key(const std::string& source, const analysis::ReachOptions& o) {
   std::ostringstream key;
   key << "reach;ms=" << o.max_states << ";pb=" << o.place_bound
-      << ";rc=" << (o.respect_capacities ? 1 : 0) << ";if=" << o.irand_fanout_limit
-      << ";th=" << o.threads << '\n'
+      << ";rc=" << (o.respect_capacities ? 1 : 0) << ";if=" << o.irand_fanout_limit << '\n'
       << source;
   return key.str();
 }
 
 std::string timed_key(const std::string& source, const analysis::TimedReachOptions& o) {
   std::ostringstream key;
-  key << "timed;ms=" << o.max_states << ";mt=" << o.max_time << ";th=" << o.threads
-      << '\n'
-      << source;
+  key << "timed;ms=" << o.max_states << ";mt=" << o.max_time << '\n' << source;
   return key.str();
 }
 
@@ -519,7 +508,6 @@ struct Session::Impl {
       const ModelPtr m = model(args.get("reach"));
       analysis::ReachOptions options;
       options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 200000));
-      options.threads = parse_threads(args);
       options.spill = parse_spill(args);
       options.stop = stop;
       const auto graph = reach_graph(*m, options);
@@ -575,10 +563,10 @@ struct Session::Impl {
       if (eq == std::string::npos || eq != 1) {
         throw std::invalid_argument("--marker expects X=time, got '" + marker + "'");
       }
-      tr.set_marker(marker[0], std::stod(marker.substr(eq + 1)));
+      tr.set_marker(marker[0], parse_number("marker", marker.substr(eq + 1)));
     }
     tracer::RenderOptions options;
-    options.columns = static_cast<std::size_t>(args.get_number("columns", 72));
+    options.columns = static_cast<std::size_t>(args.get_uint64("columns", 72));
     options.unicode = args.has("unicode");
     const Time t0 = args.get_number("from", tr.start_time());
     const Time t1 = args.get_number("to", tr.end_time());
@@ -588,7 +576,7 @@ struct Session::Impl {
 
   int cmd_animate(const Args& args, std::ostream& out) {
     const RecordedTrace trace = load_trace(require_positional(args, 0, "trace file"));
-    const auto steps = static_cast<std::size_t>(args.get_number("steps", 10));
+    const auto steps = static_cast<std::size_t>(args.get_uint64("steps", 10));
     anim::Animator animator(trace);
     std::size_t shown = 0;
     while (!animator.at_end() && shown < steps) {
@@ -627,12 +615,9 @@ struct Session::Impl {
       out << "  " << analysis::format_transition_invariant(net, inv) << '\n';
     }
 
-    // Reachability. --threads N explores in parallel (0 = all hardware
-    // threads); the graph is byte-identical for every thread count.
+    // Reachability.
     analysis::ReachOptions options;
     options.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
-    const unsigned threads = parse_threads(args);
-    options.threads = threads;
     options.spill = parse_spill(args);
     const StopToken stop = make_stop(args);
     options.stop = stop;
@@ -659,7 +644,7 @@ struct Session::Impl {
     // The invariant engine's reachability pass: check the structural
     // P-invariants exactly over every discovered marking (sound even on a
     // truncated graph — every discovered marking is reachable). Shares the
-    // graph built above, so it rides on --threads too.
+    // graph built above.
     if (!p_invs.empty() && graph->num_states() > 0) {
       const auto violations = analysis::check_place_invariants_on_graph(*graph, p_invs);
       if (violations.empty()) {
@@ -693,13 +678,10 @@ struct Session::Impl {
     }
 
     // Timed reachability when delays permit (integer constants, no
-    // predicates/actions): timed state count and timed deadlocks. Rides on
-    // the same --threads flag; the timed graph too is byte-identical for
-    // every thread count.
+    // predicates/actions): timed state count and timed deadlocks.
     try {
       analysis::TimedReachOptions topts;
       topts.max_states = static_cast<std::size_t>(args.get_uint64("max-states", 100000));
-      topts.threads = threads;
       topts.spill = options.spill;
       topts.stop = stop;
       const auto timed = timed_graph(*m, topts);

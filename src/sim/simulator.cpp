@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace pnut {
@@ -26,8 +27,7 @@ void Simulator::reset(std::optional<std::uint64_t> seed) {
   data_cache_valid_ = true;
   if (vm_mode_) frame_.assign(program_->initial_frame());
   states_.assign(net_->num_transitions(), TransitionState{});
-  dirty_.clear();
-  dirty_flag_.assign(net_->num_transitions(), 0);
+  dirty_words_.assign((net_->num_transitions() + 63) / 64, 0);
   ready_set_.clear();
   in_ready_.assign(net_->num_transitions(), 0);
   queue_.clear();
@@ -88,10 +88,7 @@ void Simulator::ready_erase(std::uint32_t t) {
 }
 
 void Simulator::mark_dirty(TransitionId t) {
-  if (!dirty_flag_[t.value]) {
-    dirty_flag_[t.value] = 1;
-    dirty_.push_back(t.value);
-  }
+  dirty_words_[t.value >> 6] |= std::uint64_t{1} << (t.value & 63);
 }
 
 void Simulator::mark_place_dirty(PlaceId p) {
@@ -103,12 +100,7 @@ void Simulator::mark_predicated_dirty() {
 }
 
 void Simulator::mark_all_dirty() {
-  dirty_.clear();
-  dirty_.reserve(states_.size());
-  for (std::uint32_t i = 0; i < states_.size(); ++i) {
-    dirty_flag_[i] = 1;
-    dirty_.push_back(i);
-  }
+  for (std::uint32_t i = 0; i < states_.size(); ++i) mark_dirty(TransitionId(i));
 }
 
 void Simulator::refresh_one(TransitionId t) {
@@ -150,22 +142,22 @@ void Simulator::refresh_one(TransitionId t) {
 void Simulator::refresh_eligibility() {
   if (!options_.incremental_eligibility) {
     // Reference mode: the historical whole-net rescan.
-    for (std::uint32_t i = 0; i < states_.size(); ++i) {
-      dirty_flag_[i] = 0;
-      refresh_one(TransitionId(i));
-    }
-    dirty_.clear();
+    std::fill(dirty_words_.begin(), dirty_words_.end(), 0);
+    for (std::uint32_t i = 0; i < states_.size(); ++i) refresh_one(TransitionId(i));
     return;
   }
-  if (dirty_.empty()) return;
   // Ascending id order keeps the RNG draw order of newly-eligible
-  // transitions identical to the whole-net rescan.
-  std::sort(dirty_.begin(), dirty_.end());
-  for (const std::uint32_t i : dirty_) {
-    dirty_flag_[i] = 0;
-    refresh_one(TransitionId(i));
+  // transitions identical to the whole-net rescan. refresh_one never
+  // re-dirties anything, so each word is consumed in one pass.
+  for (std::size_t wi = 0; wi < dirty_words_.size(); ++wi) {
+    std::uint64_t word = dirty_words_[wi];
+    if (word == 0) continue;
+    dirty_words_[wi] = 0;
+    do {
+      refresh_one(TransitionId(static_cast<std::uint32_t>(wi * 64) + std::countr_zero(word)));
+      word &= word - 1;
+    } while (word != 0);
   }
-  dirty_.clear();
 }
 
 void Simulator::start_firing(TransitionId t) {

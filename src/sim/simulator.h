@@ -247,8 +247,9 @@ class Simulator {
   mutable DataContext data_;  ///< live state (AST path) or lazy cache (VM path)
   mutable bool data_cache_valid_ = false;
   std::vector<TransitionState> states_;
-  std::vector<std::uint32_t> dirty_;       ///< transition ids queued for refresh
-  std::vector<std::uint8_t> dirty_flag_;   ///< membership bitmap for dirty_
+  /// Transition ids queued for refresh, one bit each: walking set bits
+  /// with countr_zero visits them in ascending id order without a sort.
+  std::vector<std::uint64_t> dirty_words_;
   std::vector<std::uint32_t> ready_set_;   ///< ids with ready && eligible, ascending
   std::vector<std::uint8_t> in_ready_;     ///< membership bitmap for ready_set_
   std::vector<std::uint32_t> rescan_ready_;  ///< candidates (whole-net rescan mode)

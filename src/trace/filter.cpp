@@ -5,58 +5,51 @@
 namespace pnut {
 
 void TraceFilter::begin(const TraceHeader& header) {
-  kept_firings_.clear();
+  relevant_.resize(net_->num_transitions());
+  for (std::uint32_t t = 0; t < relevant_.size(); ++t) {
+    relevant_[t] = firing_is_relevant(TransitionId(t)) ? 1 : 0;
+  }
   dropped_ = 0;
   kept_ = 0;
   downstream_->begin(header);
 }
 
 bool TraceFilter::firing_is_relevant(TransitionId t) const {
-  if (kept_transitions_.count(t.value) > 0) return true;
+  if (kept_transitions_[t.value] != 0) return true;
   const Transition& tr = net_->transition(t);
   auto touches = [&](const std::vector<Arc>& arcs) {
-    return std::any_of(arcs.begin(), arcs.end(), [&](const Arc& a) {
-      return kept_places_.count(a.place.value) > 0;
-    });
+    return std::any_of(arcs.begin(), arcs.end(),
+                       [&](const Arc& a) { return kept_places_[a.place.value] != 0; });
   };
   return touches(tr.inputs) || touches(tr.outputs) || touches(tr.inhibitors);
 }
 
 void TraceFilter::event(const TraceEvent& ev) {
-  bool keep = false;
-  if (ev.kind == TraceEvent::Kind::kAtomic) {
-    keep = firing_is_relevant(ev.transition);
-  } else if (ev.kind == TraceEvent::Kind::kStart) {
-    keep = firing_is_relevant(ev.transition);
-    if (keep) kept_firings_.insert(ev.firing_id);
-  } else {
-    keep = kept_firings_.count(ev.firing_id) > 0;
-    if (keep) kept_firings_.erase(ev.firing_id);
-  }
-
-  if (!keep) {
+  // Start, End and Atomic alike: a firing is kept iff its transition is
+  // relevant, so Start/End pairs are never split.
+  if (relevant_[ev.transition.value] == 0) {
     ++dropped_;
     return;
   }
-
-  TraceEvent projected = ev;
-  const bool transition_kept = kept_transitions_.count(ev.transition.value) > 0;
-  if (!transition_kept) {
-    // Project token deltas onto kept places only.
-    auto project = [&](std::vector<TokenDelta>& deltas) {
-      std::erase_if(deltas, [&](const TokenDelta& d) {
-        return kept_places_.count(d.place.value) == 0;
-      });
-    };
-    project(projected.consumed);
-    project(projected.produced);
-    if (!keep_data_) {
-      projected.scalar_updates.clear();
-      projected.table_updates.clear();
-    }
-  }
   ++kept_;
-  downstream_->event(projected);
+  if (kept_transitions_[ev.transition.value] != 0) {
+    downstream_->event(ev);
+    return;
+  }
+  // Project token deltas onto kept places only.
+  projected_.reset(ev.kind, ev.time, ev.transition, ev.firing_id);
+  const auto project = [&](const std::vector<TokenDelta>& from, std::vector<TokenDelta>& to) {
+    for (const TokenDelta& d : from) {
+      if (kept_places_[d.place.value] != 0) to.push_back(d);
+    }
+  };
+  project(ev.consumed, projected_.consumed);
+  project(ev.produced, projected_.produced);
+  if (keep_data_) {
+    projected_.scalar_updates = ev.scalar_updates;
+    projected_.table_updates = ev.table_updates;
+  }
+  downstream_->event(projected_);
 }
 
 void TraceFilter::end(Time end_time) { downstream_->end(end_time); }

@@ -12,11 +12,16 @@
 // places. Because every delta touching a kept place survives, a cursor over
 // the filtered trace still reconstructs exact token counts for kept places
 // and exact in-flight counts for kept transitions.
+//
+// The keep sets are fixed before the run, so relevance is settled once per
+// transition at begin(): a firing's End is kept exactly when its Start was,
+// because both carry the same transition. Kept events are projected into
+// one reused member event, so a filtered run allocates nothing per event
+// (the downstream sink must copy an event it keeps, as TraceSink says).
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "petri/net.h"
@@ -29,11 +34,14 @@ class TraceFilter final : public TraceSink {
   /// The filter needs the net to know, at Start time, whether a firing will
   /// later touch a kept place (its output arcs).
   TraceFilter(const Net& net, TraceSink& downstream)
-      : net_(&net), downstream_(&downstream) {}
+      : net_(&net),
+        downstream_(&downstream),
+        kept_places_(net.num_places(), 0),
+        kept_transitions_(net.num_transitions(), 0) {}
 
   /// Select elements to keep. Call before the run begins.
-  void keep_place(PlaceId p) { kept_places_.insert(p.value); }
-  void keep_transition(TransitionId t) { kept_transitions_.insert(t.value); }
+  void keep_place(PlaceId p) { kept_places_.at(p.value) = 1; }
+  void keep_transition(TransitionId t) { kept_transitions_.at(t.value) = 1; }
   void keep_place(std::string_view name) { keep_place(net_->place_named(name)); }
   void keep_transition(std::string_view name) {
     keep_transition(net_->transition_named(name));
@@ -56,9 +64,10 @@ class TraceFilter final : public TraceSink {
 
   const Net* net_;
   TraceSink* downstream_;
-  std::unordered_set<std::uint32_t> kept_places_;
-  std::unordered_set<std::uint32_t> kept_transitions_;
-  std::unordered_set<std::uint64_t> kept_firings_;  ///< Starts whose End must follow
+  std::vector<std::uint8_t> kept_places_;       ///< per place
+  std::vector<std::uint8_t> kept_transitions_;  ///< per transition
+  std::vector<std::uint8_t> relevant_;  ///< per transition, settled at begin()
+  TraceEvent projected_;                ///< the one event handed downstream
   bool keep_data_ = false;
   std::uint64_t dropped_ = 0;
   std::uint64_t kept_ = 0;

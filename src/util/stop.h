@@ -5,9 +5,10 @@
 // simulator's lanes, replication/sweep drivers, query fixpoints). Engines
 // poll at *canonical event positions* — e.g. when expanding the parent with
 // canonical id p where p % kStopCheckStride == 0 — so a stopped build
-// terminates at a position that is deterministic across engines and thread
-// counts, and the truncated prefix is byte-identical to the same-options
-// untruncated run's prefix (exactly like max_states truncation).
+// terminates at a deterministic position (independent of the thread count
+// where an engine has one), and the truncated prefix is byte-identical to
+// the same-options untruncated run's prefix (exactly like max_states
+// truncation).
 //
 // A default-constructed StopToken is null: poll() is a single branch and the
 // token never stops anything.
@@ -135,8 +136,8 @@ class StopSource {
   }
 
   /// seconds <= 0 means the deadline is already expired: every engine stops
-  /// at its first poll, which is the same canonical position for every
-  /// thread count — the cheapest exact cross-engine differential.
+  /// at its first poll, a canonical position — the cheapest exact stop-point
+  /// check.
   void set_timeout_seconds(double seconds) {
     set_deadline(std::chrono::steady_clock::now() +
                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -148,8 +149,7 @@ class StopSource {
 
   /// Test hook: the n-th poll (1-based) of this source's tokens observes
   /// cancellation. Because engines poll at canonical event positions, this
-  /// stops a build at a nontrivial position that is still byte-identical
-  /// across sequential/parallel engines and any thread count.
+  /// stops a build at a nontrivial position that is still deterministic.
   void cancel_after_polls(std::uint64_t n) {
     state_->cancel_at_poll.store(n, std::memory_order_relaxed);
   }

@@ -238,17 +238,12 @@ TEST(Invariants, SupportAndValueHelpers) {
 TEST(Invariants, ReachabilityPassConfirmsStructuralInvariants) {
   // The invariant engine's reachability pass: every structurally derived
   // P-invariant must hold exactly on every explored marking of the full
-  // pipeline model — and the scan must agree for any thread count, since
-  // the graphs are byte-identical.
+  // pipeline model.
   const Net net = pipeline::build_full_model();
   const auto invs = place_invariants(net);
   ASSERT_FALSE(invs.empty());
-  for (const unsigned threads : {1u, 4u}) {
-    ReachOptions options;
-    options.threads = threads;
-    const ReachabilityGraph graph(net, options);
-    EXPECT_TRUE(check_place_invariants_on_graph(graph, invs).empty()) << threads;
-  }
+  const ReachabilityGraph graph(net);
+  EXPECT_TRUE(check_place_invariants_on_graph(graph, invs).empty());
 }
 
 TEST(Invariants, ReachabilityPassFlagsDeviations) {

@@ -5,6 +5,7 @@
 
 #include "analysis/reachability.h"
 #include "expr/compile.h"
+#include "support/reference_reach.h"
 
 namespace pnut::analysis {
 namespace {
@@ -151,17 +152,14 @@ TEST(Reachability, TruncationReportsNoPhantomDeadlocks) {
   const TransitionId t2 = net.add_transition("t2");
   net.add_input(t2, b);
   net.add_output(t2, a);
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ReachOptions options;
-    options.max_states = 5;
-    options.threads = threads;
-    const ReachabilityGraph graph(net, options);
-    ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
-    ASSERT_LT(graph.num_expanded(), graph.num_states()) << threads;
-    EXPECT_TRUE(graph.deadlock_states().empty()) << threads;
-    EXPECT_TRUE(graph.state_expanded(0)) << threads;
-    EXPECT_FALSE(graph.state_expanded(graph.num_states() - 1)) << threads;
-  }
+  ReachOptions options;
+  options.max_states = 5;
+  const ReachabilityGraph graph(net, options);
+  ASSERT_EQ(graph.status(), ReachStatus::kTruncated);
+  ASSERT_LT(graph.num_expanded(), graph.num_states());
+  EXPECT_TRUE(graph.deadlock_states().empty());
+  EXPECT_TRUE(graph.state_expanded(0));
+  EXPECT_FALSE(graph.state_expanded(graph.num_states() - 1));
 }
 
 TEST(Reachability, TruncatedReversibilityIgnoresUnexpandedLeftovers) {
@@ -325,25 +323,21 @@ Net opaque_hook_net(const std::string& hook) {
 
 TEST(Reachability, OpaqueHooksAreRejectedNamingTransitionAndHook) {
   // Exploration runs every hook as bytecode; a C++ lambda has no
-  // expression source to compile, so the build refuses up front — at
-  // every thread count, spilling or not.
+  // expression source to compile, so the build refuses up front, spilling
+  // or not.
   for (const std::string hook : {"predicate", "action", "computed delay"}) {
     const Net net = opaque_hook_net(hook);
-    for (const unsigned threads : {1u, 4u}) {
-      for (const bool spill : {false, true}) {
-        ReachOptions options;
-        options.threads = threads;
-        if (spill) options.spill.max_resident_bytes = 64 * 1024;
-        const std::string label =
-            hook + " @" + std::to_string(threads) + (spill ? " spill" : "");
-        try {
-          const ReachabilityGraph graph(net, options);
-          ADD_FAILURE() << label << ": built " << graph.num_states() << " states";
-        } catch (const std::invalid_argument& e) {
-          const std::string what = e.what();
-          EXPECT_NE(what.find("transition 't'"), std::string::npos) << label << ": " << what;
-          EXPECT_NE(what.find(hook), std::string::npos) << label << ": " << what;
-        }
+    for (const bool spill : {false, true}) {
+      ReachOptions options;
+      if (spill) options.spill.max_resident_bytes = 64 * 1024;
+      const std::string label = hook + (spill ? " spill" : "");
+      try {
+        const ReachabilityGraph graph(net, options);
+        ADD_FAILURE() << label << ": built " << graph.num_states() << " states";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("transition 't'"), std::string::npos) << label << ": " << what;
+        EXPECT_NE(what.find(hook), std::string::npos) << label << ": " << what;
       }
     }
   }
@@ -362,19 +356,103 @@ TEST(Reachability, UncompilableExpressionIsRejectedEvenIfNeverFired) {
   net.add_input(broken, never);
   net.add_output(broken, never);
   net.set_action(broken, expr::compile_action("x = irand[1]"));
-  for (const unsigned threads : {1u, 4u}) {
-    ReachOptions options;
-    options.threads = threads;
-    try {
-      const ReachabilityGraph graph(net, options);
-      ADD_FAILURE() << "built " << graph.num_states() << " states @" << threads;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "transition 'broken' action: irand expects 2 arguments, got 1"),
-                std::string::npos)
-          << e.what();
-    }
+  try {
+    const ReachabilityGraph graph(net);
+    ADD_FAILURE() << "built " << graph.num_states() << " states";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "transition 'broken' action: irand expects 2 arguments, got 1"),
+              std::string::npos)
+        << e.what();
   }
+}
+
+// --- stop rules against throwing model callbacks -----------------------------
+
+/// src branches to a pump side (grows q past any bound) and a boom side
+/// whose expression raises EvalError (division by zero) when its state is
+/// expanded. Both land in BFS level 1; the pump parent is canonically first.
+Net stop_vs_throw_net(bool throw_in_predicate) {
+  Net net("stop_vs_throw");
+  const PlaceId src = net.add_place("src", 1);
+  const PlaceId pump_p = net.add_place("pp");
+  const PlaceId q = net.add_place("q");
+  const PlaceId boom_p = net.add_place("bp");
+  const TransitionId to_pump = net.add_transition("to_pump");
+  net.add_input(to_pump, src);
+  net.add_output(to_pump, pump_p);
+  const TransitionId to_boom = net.add_transition("to_boom");
+  net.add_input(to_boom, src);
+  net.add_output(to_boom, boom_p);
+  const TransitionId pump = net.add_transition("pump");
+  net.add_input(pump, pump_p);
+  net.add_output(pump, pump_p);
+  net.add_output(pump, q, 100);
+  const TransitionId boom = net.add_transition("boom");
+  net.add_input(boom, boom_p);
+  net.add_output(boom, boom_p);
+  net.initial_data().set("zero", 0);
+  if (throw_in_predicate) {
+    // Predicates leave net_has_actions() false: marking-only states.
+    net.set_predicate(boom, expr::compile_predicate("1 / zero > 0"));
+  } else {
+    // Actions track data: data words join every state.
+    net.set_action(boom, expr::compile_action("zero = 1 / zero"));
+  }
+  return net;
+}
+
+TEST(Reachability, StopRuleBeatsThrowingCallbackInSameLevel) {
+  // The pump's unbounded stop fires while expanding the canonically
+  // earlier parent, so the boom state is never expanded and its throwing
+  // hook never runs: the build ends kUnbounded, with and without data
+  // words, and matches the reference explorer's stop point.
+  for (const bool predicate : {true, false}) {
+    const Net net = stop_vs_throw_net(predicate);
+    ReachOptions options;
+    options.place_bound = 50;
+    const ReachabilityGraph graph(net, options);
+    ASSERT_EQ(graph.status(), ReachStatus::kUnbounded) << predicate;
+    const test_support::ReferenceGraph ref = test_support::reference_reach(net, options);
+    ASSERT_EQ(ref.status, ReachStatus::kUnbounded);
+    EXPECT_EQ(graph.num_states(), ref.num_states()) << predicate;
+    EXPECT_EQ(graph.num_edges(), ref.num_edges()) << predicate;
+    EXPECT_EQ(graph.num_expanded(), ref.num_expanded) << predicate;
+  }
+}
+
+TEST(Reachability, UnsuppressedCallbackThrowPropagates) {
+  // Without the pump stop the builder reaches the boom state, and the
+  // hook's EvalError surfaces from the constructor.
+  for (const bool predicate : {true, false}) {
+    Net net = stop_vs_throw_net(predicate);
+    // Disarm the pump so no stop rule fires before the boom parent.
+    net.set_predicate(net.transition_named("pump"), expr::compile_predicate("zero != 0"));
+    EXPECT_THROW(ReachabilityGraph{net}, expr::EvalError)
+        << (predicate ? "predicate" : "action");
+  }
+}
+
+TEST(Reachability, UnboundedPumpStopsAtTheReferencePoint) {
+  // A token pump: t consumes from p, refills p and grows q without bound.
+  // The place-bound stop lands on the same firing as in the reference.
+  Net net("pump");
+  const PlaceId p = net.add_place("p", 1);
+  const PlaceId q = net.add_place("q");
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, p);
+  net.add_output(t, p);
+  net.add_output(t, q, 2);
+  ReachOptions options;
+  options.place_bound = 64;
+  const ReachabilityGraph graph(net, options);
+  ASSERT_EQ(graph.status(), ReachStatus::kUnbounded);
+  const test_support::ReferenceGraph ref = test_support::reference_reach(net, options);
+  ASSERT_EQ(ref.status, ReachStatus::kUnbounded);
+  EXPECT_EQ(graph.num_states(), ref.num_states());
+  EXPECT_EQ(graph.num_edges(), ref.num_edges());
+  EXPECT_EQ(graph.num_expanded(), ref.num_expanded);
+  EXPECT_EQ(graph.num_states(), 33u);  // q = 0, 2, ..., 64; the firing to 66 stops
 }
 
 TEST(Reachability, InvalidNetRejected) {

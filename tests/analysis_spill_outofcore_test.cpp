@@ -37,11 +37,9 @@ constexpr std::size_t kEdges = 62'016;
 constexpr std::size_t kBudget = std::size_t{256} << 10;
 #endif
 
-void run_out_of_core(unsigned threads) {
-  SCOPED_TRACE(std::to_string(threads) + " threads");
+TEST(SpillOutOfCore, BuildCompletesWithinBudget) {
   ReachOptions options;
   options.max_states = 2'000'000;
-  options.threads = threads;
   options.spill.max_resident_bytes = kBudget;
 
   const ReachabilityGraph graph(reach_models::stress_ring(kPlaces, kTokens), options);
@@ -67,10 +65,6 @@ void run_out_of_core(unsigned threads) {
   EXPECT_TRUE(graph.dead_transitions().empty());
   EXPECT_TRUE(graph.is_reversible());
 }
-
-TEST(SpillOutOfCore, SequentialBuildCompletesWithinBudget) { run_out_of_core(1); }
-
-TEST(SpillOutOfCore, ParallelBuildCompletesWithinBudget) { run_out_of_core(4); }
 
 }  // namespace
 }  // namespace pnut::analysis

@@ -1,8 +1,7 @@
 // Differential harness for out-of-core exploration (analysis/spill.h).
 //
 // The spill contract is not "a similar graph under memory pressure" but
-// *the same graph*: for any thread count, a build whose sealed levels and
-// edge rows spill to mmap'd segment files must be byte-identical to the
+// *the same graph*: a build whose sealed levels and edge rows spill to mmap'd segment files must be byte-identical to the
 // all-in-RAM build — state ids, full arena words, edge lists (order
 // included), deadlock sets, place bounds, statuses and truncated prefixes.
 // This file pins that on the paper's golden models, on rings with real
@@ -27,8 +26,6 @@
 
 namespace pnut::analysis {
 namespace {
-
-constexpr unsigned kThreadCounts[] = {1, 4};
 
 /// A residency window small enough that every model in this file spills:
 /// a few KB of arena + edges against graphs tens of KB and up.
@@ -80,15 +77,11 @@ void expect_identical(const ReachabilityGraph& ram, const ReachabilityGraph& spi
 
 void expect_spill_matches(const Net& net, const std::string& label,
                           ReachOptions options = {}) {
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    options.spill = SpillOptions{};
-    const ReachabilityGraph ram(net, options);
-    options.spill = tiny_spill();
-    const ReachabilityGraph spilled(net, options);
-    expect_identical(ram, spilled, net,
-                     label + " @" + std::to_string(threads) + " threads");
-  }
+  options.spill = SpillOptions{};
+  const ReachabilityGraph ram(net, options);
+  options.spill = tiny_spill();
+  const ReachabilityGraph spilled(net, options);
+  expect_identical(ram, spilled, net, label);
 }
 
 // --- golden models -----------------------------------------------------------
@@ -111,16 +104,13 @@ TEST(SpillEquivalence, GoldenCountsWhileSpilled) {
   ReachOptions options;
   options.max_states = 1'000'000;
   options.spill = tiny_spill();
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    const ReachabilityGraph graph(pipeline::build_full_model(), options);
-    EXPECT_EQ(graph.status(), ReachStatus::kComplete);
-    EXPECT_EQ(graph.num_states(), reach_models::kFullModel.states);
-    EXPECT_EQ(graph.num_edges(), reach_models::kFullModel.edges);
-    EXPECT_EQ(graph.deadlock_states().size(), reach_models::kFullModel.deadlocks);
-    EXPECT_TRUE(graph.spill_engaged()) << threads << " threads";
-    EXPECT_GT(graph.spilled_bytes(), 0u) << threads << " threads";
-  }
+  const ReachabilityGraph graph(pipeline::build_full_model(), options);
+  EXPECT_EQ(graph.status(), ReachStatus::kComplete);
+  EXPECT_EQ(graph.num_states(), reach_models::kFullModel.states);
+  EXPECT_EQ(graph.num_edges(), reach_models::kFullModel.edges);
+  EXPECT_EQ(graph.deadlock_states().size(), reach_models::kFullModel.deadlocks);
+  EXPECT_TRUE(graph.spill_engaged());
+  EXPECT_GT(graph.spilled_bytes(), 0u);
 }
 
 // --- multi-level frontiers ---------------------------------------------------
@@ -227,15 +217,11 @@ void expect_identical_timed(const TimedReachabilityGraph& ram,
 
 void expect_timed_spill_matches(const Net& net, const std::string& label,
                                 TimedReachOptions options = {}) {
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    options.spill = SpillOptions{};
-    const TimedReachabilityGraph ram(net, options);
-    options.spill = tiny_spill();
-    const TimedReachabilityGraph spilled(net, options);
-    expect_identical_timed(ram, spilled,
-                           label + " @" + std::to_string(threads) + " threads");
-  }
+  options.spill = SpillOptions{};
+  const TimedReachabilityGraph ram(net, options);
+  options.spill = tiny_spill();
+  const TimedReachabilityGraph spilled(net, options);
+  expect_identical_timed(ram, spilled, label);
 }
 
 TEST(SpillEquivalence, TimedGoldenModels) {

@@ -121,8 +121,7 @@ TEST(StateStore, InternInvalidatesPriorSpans) {
   // views into the arena, and intern() can grow the arena — which
   // reallocates it and invalidates every previously returned span. A
   // caller that keeps a parent state across interning (every expansion
-  // loop, and every parallel expander reading sealed states) must copy the
-  // slice into its own buffer first. This test pins both halves: the arena
+  // loop) must copy the slice into its own buffer first. This test pins both halves: the arena
   // genuinely moves under growth, and the copy-first pattern preserves
   // identity across any number of reallocations and rehashes.
   StateStore store(4);
@@ -176,61 +175,6 @@ TEST(EdgeCsr, RowsAreContiguousAndComplete) {
   EXPECT_EQ(csr.out(2)[0].target, 0u);
   EXPECT_EQ(csr.out_degree(3), 0u);
   EXPECT_EQ(csr.num_edges(), 3u);
-}
-
-TEST(EdgeCsr, AppendRowsBulkMatchesRowByRow) {
-  struct E {
-    std::uint32_t target;
-  };
-  EdgeCsr<E> csr;
-  csr.begin_source(0);
-  csr.add(E{1});
-
-  const std::uint32_t counts[] = {2, 0, 1};
-  csr.append_rows(1, counts);
-  ASSERT_EQ(csr.mutable_row(1).size(), 2u);
-  csr.mutable_row(1)[0] = E{10};
-  csr.mutable_row(1)[1] = E{11};
-  ASSERT_EQ(csr.mutable_row(3).size(), 1u);
-  csr.mutable_row(3)[0] = E{12};
-  csr.finalize(4);
-
-  ASSERT_EQ(csr.out(1).size(), 2u);
-  EXPECT_EQ(csr.out(1)[0].target, 10u);
-  EXPECT_EQ(csr.out(1)[1].target, 11u);
-  EXPECT_EQ(csr.out_degree(2), 0u);
-  ASSERT_EQ(csr.out(3).size(), 1u);
-  EXPECT_EQ(csr.out(3)[0].target, 12u);
-  EXPECT_EQ(csr.num_edges(), 4u);
-}
-
-TEST(EdgeCsr, AppendRowsOverflowLeavesCsrIntact) {
-  // Row counts summing past the 32-bit offset space must throw *before*
-  // any mutation: the old code pushed truncated offsets into the row
-  // tables first and corrupted the CSR on the way to the throw.
-  struct E {
-    std::uint32_t target;
-  };
-  EdgeCsr<E> csr;
-  csr.begin_source(0);
-  csr.add(E{7});
-
-  // 3 * 1.5G edges > UINT32_MAX; the check fires before any allocation.
-  const std::uint32_t huge[] = {1u << 30, 3u << 30, 3u << 30};
-  EXPECT_THROW(csr.append_rows(1, huge), std::length_error);
-
-  // Nothing moved: the existing row still reads back and new bulk appends
-  // land exactly where they would have without the failed call.
-  EXPECT_EQ(csr.num_edges(), 1u);
-  ASSERT_EQ(csr.out(0).size(), 1u);
-  EXPECT_EQ(csr.out(0)[0].target, 7u);
-  const std::uint32_t counts[] = {1};
-  csr.append_rows(1, counts);
-  csr.mutable_row(1)[0] = E{9};
-  csr.finalize(2);
-  ASSERT_EQ(csr.out(1).size(), 1u);
-  EXPECT_EQ(csr.out(1)[0].target, 9u);
-  EXPECT_EQ(csr.num_edges(), 2u);
 }
 
 TEST(StateArena, SpillAccountingIsExact) {
@@ -306,35 +250,6 @@ TEST(StateStore, SpillKeepsInternIdentityAndBoundsResidency) {
   EXPECT_EQ(store.size(), kStates);
 }
 
-TEST(StateStore, SealedTailSpillNeverLosesTheInFlightState) {
-  // Shard configuration: spill_sealed_tail means every full segment is
-  // spill-eligible with no floor. The append path hands out a pointer
-  // *before* the caller copies the state words in, so the segment a push
-  // just filled must not spill until the next append — otherwise the file
-  // gets stale bytes for the boundary state and a later re-intern of the
-  // same marking mints a duplicate id. A 1 KB budget against 4 KB segments
-  // makes every segment fill trigger an immediate spill attempt, so every
-  // segment-boundary state exercises the hazard.
-  auto dir = std::make_shared<detail::SpillDir>("");
-  StateStore store(8);
-  store.enable_spill(dir, "states.seg", 4096, 1024, /*spill_sealed_tail=*/true);
-
-  constexpr std::uint32_t kStates = 2'000;
-  for (std::uint32_t i = 0; i < kStates; ++i) {
-    const auto r = store.intern(std::vector<std::uint32_t>{i, 1, 2, 3, 4, 5, 6, i});
-    ASSERT_TRUE(r.inserted);
-    ASSERT_EQ(r.index, i);
-  }
-  EXPECT_TRUE(store.spill_engaged());
-
-  for (std::uint32_t i = 0; i < kStates; ++i) {
-    const auto r = store.intern(std::vector<std::uint32_t>{i, 1, 2, 3, 4, 5, 6, i});
-    EXPECT_FALSE(r.inserted) << "duplicate minted for state " << i;
-    EXPECT_EQ(r.index, i);
-  }
-  EXPECT_EQ(store.size(), kStates);
-}
-
 TEST(EdgeCsr, SpilledRowsReadBackAcrossSegments) {
   struct E {
     std::uint32_t target;
@@ -386,10 +301,6 @@ TEST(EdgeCsr, SpillRowExceedingSegmentCapacityThrows) {
   // The 17th edge would need a 17-edge contiguous row: impossible in a
   // 16-edge segment, and relocation must say so rather than corrupt.
   EXPECT_THROW(csr.add(E{16}), std::length_error);
-
-  // Bulk appends reject oversized rows up front, before any mutation.
-  const std::uint32_t counts[] = {17};
-  EXPECT_THROW(csr.append_rows(1, counts), std::length_error);
 }
 
 TEST(Frontier, FifoOrderAndDeduplication) {

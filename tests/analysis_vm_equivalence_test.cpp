@@ -1,11 +1,13 @@
-// Differential pins for the exploration engines' bytecode data path: the
-// graph ReachabilityGraph builds (hooks run as bytecode, per-state data as
-// encoded slot words) must be *identical* to the naive reference explorer's
+// Differential pins for the untimed reachability builder: the graph
+// ReachabilityGraph builds (CompiledNet arrays, StateStore interning, hooks
+// run as bytecode, per-state data as encoded slot words) must be
+// *identical* to the naive reference explorer's
 // (tests/support/reference_reach.h: a std::map BFS over the Net description
 // with hooks run on the AST evaluator) — same state numbering, markings,
 // per-state variables, edge order, deadlocks, status and expanded prefix —
-// on the paper's interpreted models, a scripted .pn model and randomized
-// expression-backed nets, including truncated prefixes, at 1 and 4 threads.
+// on the paper's interpreted models, a scripted .pn model, and randomized
+// plain, inhibitor-heavy and expression-backed nets, including truncated
+// prefixes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,8 +31,6 @@ using test_support::fuzz_net;
 using test_support::FuzzOptions;
 using test_support::reference_reach;
 using test_support::ReferenceGraph;
-
-constexpr unsigned kThreadCounts[] = {1, 4};
 
 /// Full observable-graph comparison against the reference. Every scalar
 /// the reference ever holds is checked on every state: present with the
@@ -69,16 +69,13 @@ void expect_matches_reference(const ReachabilityGraph& g, const ReferenceGraph& 
   }
 }
 
-/// Build at every thread count and compare each graph to one reference,
-/// which is returned for case-specific checks.
+/// Build the graph and compare it to the reference, which is returned for
+/// case-specific checks.
 ReferenceGraph expect_engines_match_reference(const Net& net, const std::string& label,
-                                              ReachOptions options = {}) {
+                                              const ReachOptions& options = {}) {
   ReferenceGraph ref = reference_reach(net, options);
-  for (const unsigned threads : kThreadCounts) {
-    options.threads = threads;
-    const ReachabilityGraph g(net, options);
-    expect_matches_reference(g, ref, label + " @" + std::to_string(threads) + " threads");
-  }
+  const ReachabilityGraph g(net, options);
+  expect_matches_reference(g, ref, label);
   return ref;
 }
 
@@ -148,9 +145,38 @@ TEST(ReferenceGraphEquivalence, FuzzedTruncatedPrefixes) {
   }
 }
 
+TEST(ReferenceGraphEquivalence, FuzzedPlainNets) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_engines_match_reference(fuzz_net(seed), "plain seed " + std::to_string(seed));
+  }
+}
+
+TEST(ReferenceGraphEquivalence, FuzzedInhibitorHeavyNets) {
+  FuzzOptions options;
+  options.inhibitor_pct = 80;
+  options.max_initial_total = 10;
+  for (std::uint64_t seed = 101; seed <= 115; ++seed) {
+    expect_engines_match_reference(fuzz_net(seed, options),
+                                   "inhibitor seed " + std::to_string(seed));
+  }
+}
+
+TEST(ReferenceGraphEquivalence, FuzzedTruncatedPlainNets) {
+  // Tiny caps over random nets: the max_states stop rule keeps exactly the
+  // discovery-order prefix, the edge that hit the cap included. (Some of
+  // these nets are smaller than their cap and complete.)
+  int truncated = 0;
+  for (std::uint64_t seed = 301; seed <= 310; ++seed) {
+    const ReferenceGraph ref = expect_engines_match_reference(
+        fuzz_net(seed), "truncated plain seed " + std::to_string(seed), capped(10 + seed % 17));
+    truncated += ref.status == ReachStatus::kTruncated ? 1 : 0;
+  }
+  EXPECT_GE(truncated, 5);
+}
+
 TEST(ReferenceGraphEquivalence, UnboundedStopPoint) {
   // An expression counter rides a token pump: the place-bound stop lands
-  // on the same firing in the reference and in every engine.
+  // on the same firing in the reference and in the builder.
   Net net("pump");
   net.initial_data().set("n", 0);
   const PlaceId p = net.add_place("p", 1);

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "cli/cli.h"
 
@@ -154,24 +156,22 @@ TEST_F(CliTest, ExplorationRejectsUncompilableHooksNamingThem) {
                                "place P init 1\n"
                                "trans t in P out P do \"x = irand[1]\"\n";
   const std::string reason = "transition 't' action: irand expects 2 arguments, got 1";
-  for (const std::string threads : {"1", "4"}) {
-    const Result analyze = run_cli({"analyze", arity_path, "--threads", threads});
-    EXPECT_EQ(analyze.code, 2);
-    EXPECT_EQ(analyze.out,
-              "net: arity — 1 places, 1 transitions\n\n"
-              "place invariants (1):\n"
-              "  P = 1\n"
-              "  every place covered: net is structurally bounded\n"
-              "transition invariants (1):\n"
-              "  t\n");
-    EXPECT_NE(analyze.err.find(reason), std::string::npos) << analyze.err;
+  const Result analyze = run_cli({"analyze", arity_path});
+  EXPECT_EQ(analyze.code, 2);
+  EXPECT_EQ(analyze.out,
+            "net: arity — 1 places, 1 transitions\n\n"
+            "place invariants (1):\n"
+            "  P = 1\n"
+            "  every place covered: net is structurally bounded\n"
+            "transition invariants (1):\n"
+            "  t\n");
+  EXPECT_NE(analyze.err.find(reason), std::string::npos) << analyze.err;
 
-    const Result query = run_cli({"query", "--reach", arity_path,
-                                  "forall s in S [ P(s) = 1 ]", "--threads", threads});
-    EXPECT_EQ(query.code, 2);
-    EXPECT_EQ(query.out, "");
-    EXPECT_NE(query.err.find(reason), std::string::npos) << query.err;
-  }
+  const Result query =
+      run_cli({"query", "--reach", arity_path, "forall s in S [ P(s) = 1 ]"});
+  EXPECT_EQ(query.code, 2);
+  EXPECT_EQ(query.out, "");
+  EXPECT_NE(query.err.find(reason), std::string::npos) << query.err;
 }
 
 TEST_F(CliTest, NoExprVmIsSimulateOnly) {
@@ -243,6 +243,55 @@ TEST_F(CliTest, ReplicateRejectsBadFlags) {
   EXPECT_EQ(run_cli({"replicate"}).code, 2);  // missing model file
 }
 
+TEST_F(CliTest, ReplicateThreadsIsAStrictBoundedInteger) {
+  // --threads parses as a strict integer in [0, 4096]: signs, fractions,
+  // suffixes and absurd values are usage errors naming the flag (a
+  // four-billion-thread request must not reach std::thread).
+  for (const char* bad : {"-1", "-3", "1.5", "nope", "4abc", "1e2", "4097", "999999999",
+                          "4294967296", ""}) {
+    const Result r = run_cli({"replicate", model_path_, "--replications", "2", "--horizon",
+                              "50", "--threads", bad});
+    EXPECT_EQ(r.code, 2) << "--threads '" << bad << "'";
+    EXPECT_NE(r.err.find("--threads"), std::string::npos) << bad << ": " << r.err;
+  }
+}
+
+TEST_F(CliTest, NumericFlagsRejectTrailingJunk) {
+  // A value that only starts with a number is a typo, not that number:
+  // `--until 500abc` used to run to 500 and `--timeout 5s` meant 5.
+  const std::string trace_path = make_trace_file();
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"--until", {"simulate", model_path_, "--until", "500abc"}},
+      {"--timeout", {"simulate", model_path_, "--until", "10", "--timeout", "5s"}},
+      {"--horizon", {"replicate", model_path_, "--horizon", "100x"}},
+      {"--from", {"render", trace_path, "--signals", "Bus_busy", "--from", "1,5"}},
+      {"--marker", {"render", trace_path, "--signals", "Bus_busy", "--marker", "O=2q"}},
+  };
+  for (const auto& [flag, argv] : cases) {
+    const Result r = run_cli(argv);
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << flag << ": " << r.err;
+  }
+}
+
+TEST_F(CliTest, CountFlagsAreStrictUnsignedIntegers) {
+  // --steps and --columns are counts: a negative value used to be cast
+  // from double to size_t (undefined behaviour), a fraction truncated.
+  const std::string trace_path = make_trace_file();
+  for (const char* bad : {"-1", "2.5", "3x", "1e3"}) {
+    const Result steps = run_cli({"animate", trace_path, "--steps", bad});
+    EXPECT_EQ(steps.code, 2) << "--steps " << bad;
+    EXPECT_NE(steps.err.find("--steps"), std::string::npos) << steps.err;
+    const Result columns =
+        run_cli({"render", trace_path, "--signals", "Bus_busy", "--columns", bad});
+    EXPECT_EQ(columns.code, 2) << "--columns " << bad;
+    EXPECT_NE(columns.err.find("--columns"), std::string::npos) << columns.err;
+  }
+  EXPECT_EQ(run_cli({"animate", trace_path, "--steps", "2"}).code, 0);
+  EXPECT_EQ(run_cli({"render", trace_path, "--signals", "Bus_busy", "--columns", "30"}).code,
+            0);
+}
+
 TEST_F(CliTest, SimulatePrintsStatsByDefault) {
   const Result r = run_cli({"simulate", model_path_, "--until", "1000", "--seed", "3"});
   ASSERT_EQ(r.code, 0) << r.err;
@@ -307,40 +356,20 @@ TEST_F(CliTest, QueryOnReachabilityGraph) {
   EXPECT_NE(r.out.find("holds"), std::string::npos);
 }
 
-TEST_F(CliTest, QueryReachTakesThreads) {
-  // The reachability graph behind --reach is byte-identical for every
-  // --threads value, so the query answer (and the whole report line) is
-  // too. 0 means "all hardware threads".
-  const Result sequential = run_cli({"query", "--reach", model_path_,
-                                     "forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]"});
-  ASSERT_EQ(sequential.code, 0) << sequential.err;
-  for (const char* threads : {"0", "2", "4"}) {
-    const Result parallel =
-        run_cli({"query", "--reach", model_path_,
-                 "forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]", "--threads", threads});
-    EXPECT_EQ(parallel.code, 0) << parallel.err;
-    EXPECT_EQ(parallel.out, sequential.out) << "--threads " << threads;
-  }
-}
-
-TEST_F(CliTest, ThreadsFlagRejectsNegativeAndFractional) {
-  // One rule across every command that explores: integers in [0, 4096]
-  // only, rejected up front with a usage error (a four-billion-thread
-  // request must not reach std::thread).
-  for (const char* bad : {"-1", "-3", "1.5", "nope", "999999999", "4294967296"}) {
+TEST_F(CliTest, ExplorationCommandsRejectThreads) {
+  // analyze and query --reach explore on one thread; --threads is not in
+  // their vocabulary, so it is an unknown-flag usage error naming itself.
+  for (const char* threads : {"1", "4", "0"}) {
     const Result query = run_cli({"query", "--reach", model_path_,
-                                  "exists s in S [ Bus_free(s) = 1 ]", "--threads", bad});
-    EXPECT_EQ(query.code, 2) << "query --threads " << bad;
-    const Result analyze = run_cli({"analyze", model_path_, "--threads", bad});
-    EXPECT_EQ(analyze.code, 2) << "analyze --threads " << bad;
-    EXPECT_NE(analyze.err.find("--threads"), std::string::npos) << bad;
+                                  "exists s in S [ Bus_free(s) = 1 ]", "--threads", threads});
+    EXPECT_EQ(query.code, 2) << "query --threads " << threads;
+    EXPECT_EQ(query.out, "");
+    EXPECT_NE(query.err.find("unknown flag --threads"), std::string::npos) << query.err;
+    const Result analyze = run_cli({"analyze", model_path_, "--threads", threads});
+    EXPECT_EQ(analyze.code, 2) << "analyze --threads " << threads;
+    EXPECT_EQ(analyze.out, "");
+    EXPECT_NE(analyze.err.find("unknown flag --threads"), std::string::npos) << analyze.err;
   }
-}
-
-TEST_F(CliTest, ThreadsZeroMeansHardwareConcurrency) {
-  const Result r = run_cli({"analyze", model_path_, "--threads", "0"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("reachability:"), std::string::npos);
 }
 
 TEST_F(CliTest, QuerySyntaxErrorIsUsageError) {
@@ -389,36 +418,6 @@ TEST_F(CliTest, AnalyzeReportsInvariantsAndReachability) {
   EXPECT_NE(r.out.find("timed deadlocks: 0"), std::string::npos);
 }
 
-TEST_F(CliTest, AnalyzeThreadsFlagIsOutputInvariant) {
-  // Parallel exploration is canonically renumbered, so the whole analyze
-  // report — state ids, deadlock counts, place bounds, reversibility —
-  // must be character-identical for any --threads value. The one line
-  // exempted is the "state storage:" memory estimate: memory_bytes() is a
-  // capacity-based footprint, and the parallel builder's canonical store
-  // genuinely retains less (its intern table never grows past bootstrap).
-  const auto strip_storage_line = [](const std::string& report) {
-    std::string out;
-    std::size_t pos = 0;
-    while (pos < report.size()) {
-      const std::size_t eol = report.find('\n', pos);
-      const std::string line = report.substr(pos, eol - pos);
-      if (line.find("state storage:") == std::string::npos) out += line + '\n';
-      if (eol == std::string::npos) break;
-      pos = eol + 1;
-    }
-    return out;
-  };
-  const Result sequential = run_cli({"analyze", model_path_});
-  ASSERT_EQ(sequential.code, 0) << sequential.err;
-  for (const char* threads : {"2", "4", "8"}) {
-    const Result parallel = run_cli({"analyze", model_path_, "--threads", threads});
-    ASSERT_EQ(parallel.code, 0) << parallel.err;
-    EXPECT_EQ(strip_storage_line(parallel.out), strip_storage_line(sequential.out))
-        << "--threads " << threads;
-  }
-  EXPECT_EQ(run_cli({"analyze", model_path_, "--threads", "-1"}).code, 2);
-}
-
 TEST_F(CliTest, AnalyzeSkipsTimedSectionForStochasticDelays) {
   const std::string stochastic_path = (dir_ / "stochastic.pn").string();
   std::ofstream(stochastic_path) << "place P init 1\ntrans t in P out P firing uniform 1 3\n";
@@ -437,14 +436,12 @@ TEST_F(CliTest, SpillFlagsGiveIdenticalAnswersAndCleanUpSegments) {
   ASSERT_EQ(flat.code, 0) << flat.err;
   const std::filesystem::path spill_root = dir_ / "segments";
   std::filesystem::create_directories(spill_root);
-  for (const char* threads : {"1", "4"}) {
-    const Result spilled = run_cli({"query", "--reach", model_path_, query,
-                                    "--max-resident-bytes", "1K", "--spill-dir",
-                                    spill_root.string(), "--threads", threads});
-    EXPECT_EQ(spilled.code, 0) << spilled.err;
-    EXPECT_EQ(spilled.out, flat.out) << "--threads " << threads;
-    EXPECT_TRUE(std::filesystem::is_empty(spill_root)) << "--threads " << threads;
-  }
+  const Result spilled = run_cli({"query", "--reach", model_path_, query,
+                                  "--max-resident-bytes", "1K", "--spill-dir",
+                                  spill_root.string()});
+  EXPECT_EQ(spilled.code, 0) << spilled.err;
+  EXPECT_EQ(spilled.out, flat.out);
+  EXPECT_TRUE(std::filesystem::is_empty(spill_root));
 }
 
 TEST_F(CliTest, AnalyzeTakesSpillBudgetWithSuffixes) {

@@ -234,7 +234,7 @@ TEST_F(ServeTest, ServedMatchesDirectForEveryCommand) {
        "--columns", "40", "--marker", "O=20"},
       {"animate", trace_path, "--steps", "3"},
       {"analyze", model_path_},
-      {"analyze", model_path_, "--threads", "2"},
+      {"analyze", model_path_, "--max-states", "5"},
       {"help"},
       {"frobnicate"},
       {"simulate", model_path_, "--seed", "1.5"},

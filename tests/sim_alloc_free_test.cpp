@@ -4,8 +4,9 @@
 // Simulator up (its event queue, ready set, trace event and VM scratch grow
 // to their high-water capacity), then asserts that a further run_until —
 // with a StatCollector attached, so every Start/End/Atomic delta is built
-// and delivered — allocates nothing. It lives in its own binary because the
-// replacement is process-wide.
+// and delivered — allocates nothing, with or without a TraceFilter (the
+// `simulate --keep` path) between the simulator and the collector. It lives
+// in its own binary because the replacement is process-wide.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "sim/simulator.h"
 #include "stat/stat.h"
 #include "textio/pn_format.h"
+#include "trace/filter.h"
 
 namespace {
 
@@ -79,12 +81,20 @@ constexpr Time kWarmUp = 20'000;
 constexpr Time kMeasured = 20'000;
 
 /// Allocations made by run_until over [kWarmUp, kWarmUp + kMeasured] after
-/// a warm-up run to kWarmUp; also returns the events processed there.
+/// a warm-up run to kWarmUp; also returns the events processed there. With
+/// `keep_place`, a TraceFilter keeping that place feeds the collector.
 std::uint64_t steady_state_allocations(const Net& net, std::uint64_t seed,
-                                       std::uint64_t* starts_measured) {
+                                       std::uint64_t* starts_measured,
+                                       const char* keep_place = nullptr) {
   StatCollector stats;
+  TraceFilter filter(net, stats);
   Simulator sim(net);
-  sim.set_sink(&stats);
+  if (keep_place != nullptr) {
+    filter.keep_place(keep_place);
+    sim.set_sink(&filter);
+  } else {
+    sim.set_sink(&stats);
+  }
   sim.reset(seed);
   sim.run_until(kWarmUp);
   const std::uint64_t starts_before = sim.total_firing_starts();
@@ -95,8 +105,20 @@ std::uint64_t steady_state_allocations(const Net& net, std::uint64_t seed,
 
   *starts_measured = sim.total_firing_starts() - starts_before;
   sim.finish();
-  EXPECT_EQ(stats.stats().events_started, sim.total_firing_starts());
+  if (keep_place == nullptr) {
+    EXPECT_EQ(stats.stats().events_started, sim.total_firing_starts());
+  } else {
+    EXPECT_GT(filter.kept_events(), 0U);
+    EXPECT_GT(filter.dropped_events(), 0U);
+  }
   return allocations;
+}
+
+Net shipped_model(const std::string& name) {
+  std::ifstream in(std::string(PNUT_MODELS_DIR) + "/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  return textio::parse_net(text.str()).net;
 }
 
 TEST(SimAllocFree, CounterSeesAllocations) {
@@ -120,12 +142,19 @@ TEST(SimAllocFree, RaceRingSteadyStateIsAllocationFree) {
 TEST(SimAllocFree, ShippedUnifiedCacheModelSteadyStateIsAllocationFree) {
   // Computed enabling delays through a document-level fn and params: the
   // bytecode path.
-  std::ifstream in(std::string(PNUT_MODELS_DIR) + "/ext_cache_unified.pn");
-  std::stringstream text;
-  text << in.rdbuf();
-  const Net net = textio::parse_net(text.str()).net;
+  const Net net = shipped_model("ext_cache_unified.pn");
   std::uint64_t starts = 0;
   const std::uint64_t allocations = steady_state_allocations(net, 3, &starts);
+  EXPECT_GT(starts, 10'000U);
+  EXPECT_EQ(allocations, 0U) << "over " << starts << " firings";
+}
+
+TEST(SimAllocFree, FilteredRunIsAllocationFree) {
+  // `simulate --trace F --keep Bus_busy`: the filter settles relevance per
+  // transition up front and projects kept events into one reused event.
+  const Net net = shipped_model("ext_cache_unified.pn");
+  std::uint64_t starts = 0;
+  const std::uint64_t allocations = steady_state_allocations(net, 3, &starts, "Bus_busy");
   EXPECT_GT(starts, 10'000U);
   EXPECT_EQ(allocations, 0U) << "over " << starts << " firings";
 }

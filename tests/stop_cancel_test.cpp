@@ -2,14 +2,14 @@
 //
 // The contract under test is *deterministic truncation*: a build stopped by
 // its StopToken terminates at a canonical event position, so the truncated
-// prefix is byte-identical across thread counts and engines — exactly like
-// max_states truncation, but driven by wall-clock or an explicit cancel.
-// Two deterministic stop shapes pin this exactly:
+// prefix is byte-identical from run to run and a prefix of the unstopped
+// graph — exactly like max_states truncation, but driven by wall-clock or
+// an explicit cancel. Two deterministic stop shapes pin this exactly:
 //   * a pre-expired deadline (timeout 0) stops every engine at its first
-//     poll — the same position for every thread count;
+//     poll;
 //   * cancel_after_polls(n) trips on the n-th poll, and because engines
-//     poll at canonical positions, the n-th poll is the same expansion
-//     point sequentially and in every parallel seal.
+//     poll at canonical positions, the n-th poll is a fixed expansion
+//     point.
 // Real (nonzero) deadlines cannot pin an exact stop position, so for those
 // the test asserts the prefix property against the full graph instead.
 // Engines with no truncation-honest result (simulation lanes, replication,
@@ -127,11 +127,8 @@ TEST(StopToken, CancelAfterPollsTripsExactlyAndStays) {
 
 // --- untimed exploration: deterministic stop positions ----------------------------
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
-
-analysis::ReachOptions reach_options(unsigned threads, StopToken stop = {}) {
+analysis::ReachOptions reach_options(StopToken stop = {}) {
   analysis::ReachOptions o;
-  o.threads = threads;
   o.stop = stop;
   return o;
 }
@@ -189,82 +186,62 @@ void expect_prefix_of(const analysis::ReachabilityGraph& full,
   }
 }
 
-TEST(StopReach, PreExpiredDeadlineStopsAtFirstPollEveryThreadCount) {
+TEST(StopReach, PreExpiredDeadlineStopsAtFirstPoll) {
   const Net net = reach_models::stress_ring(10, 4);  // C(13,4) = 715 states
-  const analysis::ReachabilityGraph full(net, reach_options(1));
+  const analysis::ReachabilityGraph full(net, reach_options());
   ASSERT_EQ(full.status(), analysis::ReachStatus::kComplete);
 
   std::vector<std::unique_ptr<analysis::ReachabilityGraph>> stopped;
-  for (const unsigned threads : kThreadCounts) {
+  for (int run = 0; run < 2; ++run) {
     StopSource source;
     source.set_timeout_seconds(0);
-    stopped.push_back(std::make_unique<analysis::ReachabilityGraph>(
-        net, reach_options(threads, source.token())));
+    stopped.push_back(
+        std::make_unique<analysis::ReachabilityGraph>(net, reach_options(source.token())));
     EXPECT_EQ(stopped.back()->status(), analysis::ReachStatus::kTimeout);
     EXPECT_EQ(stopped.back()->num_expanded(), 0u);  // first poll is parent 0
-    expect_prefix_of(full, *stopped.back(),
-                     "timeout0 threads=" + std::to_string(threads));
+    expect_prefix_of(full, *stopped.back(), "timeout0 run " + std::to_string(run));
   }
-  for (std::size_t i = 1; i < stopped.size(); ++i) {
-    expect_same_graph(*stopped[0], *stopped[i],
-                      "timeout0 threads=" + std::to_string(kThreadCounts[i]));
-  }
+  expect_same_graph(*stopped[0], *stopped[1], "timeout0 rerun");
 }
 
-TEST(StopReach, CancelAfterPollsIsByteIdenticalAcrossThreadCounts) {
+TEST(StopReach, CancelAfterPollsStopsAtCanonicalParent) {
   // C(23,4) = 8855 states: enough expanded parents for several canonical
   // poll positions (parents 0, 1024, 2048, ...).
   const Net net = reach_models::stress_ring(20, 4);
-  analysis::ReachOptions full_options = reach_options(1);
+  analysis::ReachOptions full_options = reach_options();
   full_options.max_states = 20'000;
   const analysis::ReachabilityGraph full(net, full_options);
   ASSERT_EQ(full.status(), analysis::ReachStatus::kComplete);
 
   for (const std::uint64_t polls : {std::uint64_t{2}, std::uint64_t{4}}) {
     std::vector<std::unique_ptr<analysis::ReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
+    for (int run = 0; run < 2; ++run) {
       StopSource source;
       source.cancel_after_polls(polls);
-      analysis::ReachOptions o = reach_options(threads, source.token());
+      analysis::ReachOptions o = reach_options(source.token());
       o.max_states = 20'000;
       stopped.push_back(std::make_unique<analysis::ReachabilityGraph>(net, o));
       EXPECT_EQ(stopped.back()->status(), analysis::ReachStatus::kCancelled);
       // The n-th poll sits at canonical parent (n-1) * kStopCheckStride.
       EXPECT_EQ(stopped.back()->num_expanded(), (polls - 1) * kStopCheckStride);
-      expect_prefix_of(full, *stopped.back(),
-                       "polls=" + std::to_string(polls) +
-                           " threads=" + std::to_string(threads));
+      expect_prefix_of(full, *stopped.back(), "polls=" + std::to_string(polls));
     }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_graph(*stopped[0], *stopped[i],
-                        "polls=" + std::to_string(polls) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+    expect_same_graph(*stopped[0], *stopped[1], "polls=" + std::to_string(polls) + " rerun");
   }
 }
 
 TEST(StopReach, CancelAfterPollsOnFuzzedNets) {
   for (const std::uint64_t seed : {11u, 23u, 57u}) {
     const Net net = test_support::fuzz_net(seed);
-    const analysis::ReachabilityGraph full(net, reach_options(1));
+    const analysis::ReachabilityGraph full(net, reach_options());
     // Trip on the very first poll: fuzzed graphs are usually smaller than
     // one stride, so later polls may never happen.
-    std::vector<std::unique_ptr<analysis::ReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
-      StopSource source;
-      source.cancel_after_polls(1);
-      stopped.push_back(std::make_unique<analysis::ReachabilityGraph>(
-          net, reach_options(threads, source.token())));
-      EXPECT_EQ(stopped.back()->status(), analysis::ReachStatus::kCancelled);
-      expect_prefix_of(full, *stopped.back(),
-                       "fuzz seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_graph(*stopped[0], *stopped[i],
-                        "fuzz seed=" + std::to_string(seed) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+    StopSource source;
+    source.cancel_after_polls(1);
+    const analysis::ReachabilityGraph stopped(net, reach_options(source.token()));
+    EXPECT_EQ(stopped.status(), analysis::ReachStatus::kCancelled);
+    EXPECT_EQ(stopped.num_expanded(), 0u);
+    expect_prefix_of(full, stopped, "fuzz seed=" + std::to_string(seed));
   }
 }
 
@@ -272,12 +249,12 @@ TEST(StopReach, RealDeadlinePrefixProperty) {
   // A wall-clock deadline cannot pin an exact stop position; it must still
   // produce a valid prefix (or complete if the build beat the clock).
   const Net net = reach_models::stress_ring(20, 4);
-  analysis::ReachOptions full_options = reach_options(1);
+  analysis::ReachOptions full_options = reach_options();
   full_options.max_states = 20'000;
   const analysis::ReachabilityGraph full(net, full_options);
   StopSource source;
   source.set_timeout_seconds(1e-4);
-  analysis::ReachOptions o = reach_options(1, source.token());
+  analysis::ReachOptions o = reach_options(source.token());
   o.max_states = 20'000;
   const analysis::ReachabilityGraph g(net, o);
   if (g.status() == analysis::ReachStatus::kTimeout) {
@@ -289,9 +266,8 @@ TEST(StopReach, RealDeadlinePrefixProperty) {
 
 // --- timed exploration -----------------------------------------------------------
 
-analysis::TimedReachOptions timed_options(unsigned threads, StopToken stop = {}) {
+analysis::TimedReachOptions timed_options(StopToken stop = {}) {
   analysis::TimedReachOptions o;
-  o.threads = threads;
   o.max_states = 50'000;
   o.stop = stop;
   return o;
@@ -321,40 +297,69 @@ void expect_same_timed(const analysis::TimedReachabilityGraph& a,
   }
 }
 
-TEST(StopTimed, PreExpiredDeadlineByteIdenticalAcrossThreadCounts) {
-  const Net net = reach_models::timed_race_ring(12, 3);
-  std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
-  for (const unsigned threads : kThreadCounts) {
-    StopSource source;
-    source.set_timeout_seconds(0);
-    stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
-        net, timed_options(threads, source.token())));
-    EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kTimeout);
-  }
-  for (std::size_t i = 1; i < stopped.size(); ++i) {
-    expect_same_timed(*stopped[0], *stopped[i],
-                      "timed timeout0 threads=" + std::to_string(kThreadCounts[i]));
+/// `stopped` must be a discovery-order prefix of `longer`: the same words
+/// under the same ids, and the same edge row for every state it expanded.
+/// (Earliest times are not compared: a later cost-0 path can still lower a
+/// state's time in the longer build.)
+void expect_timed_prefix_of(const analysis::TimedReachabilityGraph& longer,
+                            const analysis::TimedReachabilityGraph& stopped,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  ASSERT_TRUE(stopped.stopped());
+  ASSERT_LT(stopped.num_states(), longer.num_states());
+  for (std::size_t s = 0; s < stopped.num_states(); ++s) {
+    const auto lw = longer.state_words(s);
+    const auto sw = stopped.state_words(s);
+    ASSERT_TRUE(std::equal(lw.begin(), lw.end(), sw.begin(), sw.end()))
+        << "state " << s << " words differ from the longer build";
+    if (!stopped.state_expanded(s)) {
+      EXPECT_TRUE(stopped.edges(s).empty()) << "state " << s;
+      continue;
+    }
+    ASSERT_TRUE(longer.state_expanded(s)) << "state " << s;
+    const auto le = longer.edges(s);
+    const auto se = stopped.edges(s);
+    ASSERT_EQ(se.size(), le.size()) << "state " << s;
+    for (std::size_t e = 0; e < le.size(); ++e) {
+      ASSERT_EQ(se[e].transition, le[e].transition) << "state " << s << " edge " << e;
+      ASSERT_EQ(se[e].target, le[e].target) << "state " << s << " edge " << e;
+    }
   }
 }
 
-TEST(StopTimed, CancelAfterPollsByteIdenticalAcrossThreadCounts) {
-  // 418k timed states uncapped (kTimedRaceRing12x3): the build can never
-  // complete before the cancel trips, at any polls value used here.
+TEST(StopTimed, PreExpiredDeadlineStopsAtFirstPoll) {
   const Net net = reach_models::timed_race_ring(12, 3);
+  std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
+  for (int run = 0; run < 2; ++run) {
+    StopSource source;
+    source.set_timeout_seconds(0);
+    stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
+        net, timed_options(source.token())));
+    EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kTimeout);
+    EXPECT_EQ(stopped.back()->num_expanded(), 0u);  // first poll is state 0
+    EXPECT_EQ(stopped.back()->num_states(), 1u);
+  }
+  expect_same_timed(*stopped[0], *stopped[1], "timed timeout0 rerun");
+}
+
+TEST(StopTimed, CancelAfterPollsIsADeterministicPrefix) {
+  // 418k timed states uncapped (kTimedRaceRing12x3): the 50k-state capped
+  // build is far longer than any stop position used here.
+  const Net net = reach_models::timed_race_ring(12, 3);
+  const analysis::TimedReachabilityGraph capped(net, timed_options());
+  ASSERT_EQ(capped.status(), analysis::TimedReachStatus::kTruncated);
   for (const std::uint64_t polls : {std::uint64_t{2}, std::uint64_t{5}}) {
     std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
+    for (int run = 0; run < 2; ++run) {
       StopSource source;
       source.cancel_after_polls(polls);
       stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
-          net, timed_options(threads, source.token())));
+          net, timed_options(source.token())));
       EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kCancelled);
+      expect_timed_prefix_of(capped, *stopped.back(), "timed polls=" + std::to_string(polls));
     }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_timed(*stopped[0], *stopped[i],
-                        "timed polls=" + std::to_string(polls) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+    expect_same_timed(*stopped[0], *stopped[1],
+                      "timed polls=" + std::to_string(polls) + " rerun");
   }
 }
 
@@ -363,19 +368,12 @@ TEST(StopTimed, CancelAfterPollsOnFuzzedTimedNets) {
   fuzz.timed_integer = true;
   for (const std::uint64_t seed : {5u, 19u, 41u}) {
     const Net net = test_support::fuzz_net(seed, fuzz);
-    std::vector<std::unique_ptr<analysis::TimedReachabilityGraph>> stopped;
-    for (const unsigned threads : kThreadCounts) {
-      StopSource source;
-      source.cancel_after_polls(1);
-      stopped.push_back(std::make_unique<analysis::TimedReachabilityGraph>(
-          net, timed_options(threads, source.token())));
-      EXPECT_EQ(stopped.back()->status(), analysis::TimedReachStatus::kCancelled);
-    }
-    for (std::size_t i = 1; i < stopped.size(); ++i) {
-      expect_same_timed(*stopped[0], *stopped[i],
-                        "timed fuzz seed=" + std::to_string(seed) +
-                            " threads=" + std::to_string(kThreadCounts[i]));
-    }
+    StopSource source;
+    source.cancel_after_polls(1);
+    const analysis::TimedReachabilityGraph stopped(net, timed_options(source.token()));
+    EXPECT_EQ(stopped.status(), analysis::TimedReachStatus::kCancelled);
+    EXPECT_EQ(stopped.num_expanded(), 0u);
+    EXPECT_EQ(stopped.num_states(), 1u);
   }
 }
 
@@ -426,7 +424,7 @@ TEST(StopSim, SweepCancelThrowsStopError) {
 
 TEST(StopQuery, CancelledTokenThrowsStopError) {
   const Net net = reach_models::stress_ring(8, 3);
-  const analysis::ReachabilityGraph graph(net, reach_options(1));
+  const analysis::ReachabilityGraph graph(net, reach_options());
   ASSERT_EQ(graph.status(), analysis::ReachStatus::kComplete);
   StopSource source;
   source.request_cancel();
@@ -502,24 +500,15 @@ TEST_F(StopCliTest, AnalyzeTimeoutZeroReportsStoppedPrefix) {
   EXPECT_NE(r.out.find("STOPPED at deadline"), std::string::npos) << r.out;
 }
 
-TEST_F(StopCliTest, AnalyzeTimeoutZeroPrefixIdenticalAcrossThreadCounts) {
+TEST_F(StopCliTest, AnalyzeTimeoutZeroPrefixIsRepeatable) {
+  // The stopped prefix sits at a canonical position, so the whole report —
+  // counts, status and storage lines — repeats byte for byte.
   cli::Session session;
-  std::string first;
-  for (const char* threads : {"1", "2", "4", "8"}) {
-    const cli::Result r = session.execute(
-        {"analyze", {model_path(), "--timeout", "0", "--threads", threads}});
-    EXPECT_EQ(r.code, 0) << r.err;
-    // The state/edge counts and status line of the stopped prefix must not
-    // depend on the thread count. (The storage report can differ by build
-    // path, so compare only through the reachability line.)
-    const auto cut = r.out.find("state storage");
-    const std::string head = cut == std::string::npos ? r.out : r.out.substr(0, cut);
-    if (first.empty()) {
-      first = head;
-    } else {
-      EXPECT_EQ(head, first) << "threads=" << threads;
-    }
-  }
+  const cli::Result first = session.execute({"analyze", {model_path(), "--timeout", "0"}});
+  EXPECT_EQ(first.code, 0) << first.err;
+  const cli::Result second = session.execute({"analyze", {model_path(), "--timeout", "0"}});
+  EXPECT_EQ(second.code, 0) << second.err;
+  EXPECT_EQ(second.out, first.out);
 }
 
 TEST_F(StopCliTest, QueryTimeoutZeroFails) {

@@ -5,8 +5,8 @@
 // sum of input weights), so the total token count never grows and every
 // place is bounded by the initial total. That keeps the reachability graphs
 // of fuzzed nets finite and small enough that a differential test can build
-// each one several times (sequential vs parallel, incremental vs rescan)
-// over dozens of seeds.
+// each one several times (builder vs reference oracle, incremental vs
+// rescan) over dozens of seeds.
 //
 // What varies per seed: place/transition counts, arc multiplicities (1-2),
 // fan-in/fan-out shapes, inhibitor arcs and thresholds, the initial
@@ -17,7 +17,7 @@
 // nets always get firing times >= 1, so a fuzzed simulation can never
 // livelock in a same-instant immediate cascade. `timed_integer` instead
 // draws integer-constant delay skeletons — the subset the timed
-// reachability analyzer accepts — for its differential harness.
+// reachability analyzer accepts — for its reference-oracle harness.
 //
 // Everything is derived from one std::mt19937_64 seeded by the caller:
 // same seed, same net, forever — the differential tests log only the seed.
@@ -67,7 +67,7 @@ struct FuzzOptions {
   /// Add an integer-constant timing skeleton instead: every transition gets
   /// constant integer enabling (0-2) and firing (0-3) delays plus an
   /// occasional infinite-server policy — exactly the feature set
-  /// TimedReachabilityGraph accepts, for the timed differential harness.
+  /// TimedReachabilityGraph accepts, for the timed reference-oracle harness.
   /// Mutually exclusive with `timed` (which draws stochastic DelaySpecs the
   /// timed analyzer rejects).
   bool timed_integer = false;

@@ -1,9 +1,8 @@
 // Naive reference explorer for the untimed reachability graph.
 //
-// The production builders (analysis/reachability.cpp and
-// analysis/parallel_exploration.cpp) run on CompiledNet CSR arrays, intern
-// word-encoded states in a StateStore, and evaluate hooks as bytecode over
-// slot frames. This oracle shares none of that: it walks the `Net`
+// The production builder (analysis/reachability.cpp) runs on CompiledNet
+// CSR arrays, interns word-encoded states in a StateStore, and evaluates
+// hooks as bytecode over slot frames. This oracle shares none of that: it walks the `Net`
 // description directly, keeps each state as a (marking, DataContext) pair
 // in a std::map, and calls the hooks through the Net's std::functions, so
 // expression hooks run on the AST evaluator. It is slow and obviously
