@@ -17,6 +17,23 @@ ReachStatus stop_status(StopToken::Reason reason) {
 
 }  // namespace
 
+detail::DataWords::DataWords(const expr::NetProgram& program, std::size_t num_transitions)
+    : position_(program.schema().num_values(), kConstant),
+      schema_scalars_(program.schema().num_scalars()) {
+  for (std::uint32_t t = 0; t < num_transitions; ++t) {
+    // Mark every written slot; the pass below numbers them in slot order.
+    for (const std::uint32_t s : program.action_facts(TransitionId(t)).writes) position_[s] = 0;
+  }
+  std::size_t scalars = 0;
+  for (std::uint32_t s = 0; s < position_.size(); ++s) {
+    if (position_[s] == kConstant) continue;
+    position_[s] = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(s);
+    scalars += s < schema_scalars_ ? 1 : 0;
+  }
+  mask_words_ = (scalars + 31) / 32;
+}
+
 ReachabilityGraph::ReachabilityGraph(const Net& net, ReachOptions options)
     : ReachabilityGraph(CompiledNet::compile(net), options) {}
 
@@ -40,18 +57,19 @@ void ReachabilityGraph::configure_spill(const ReachOptions& options) {
 }
 
 void ReachabilityGraph::explore(const ReachOptions& options) {
-  // Data words join the intern key only when an action can change them.
-  track_data_ = net_->net_has_actions();
+  respect_capacities_ = options.respect_capacities;
   // Every hook runs as bytecode; a net whose hooks do not all compile is
   // rejected up front, before any storage (or spill directory) exists.
   if (net_->net_has_hooks()) {
     std::string error;
     program_ = expr::NetProgram::compile(net_->net(), &error);
     if (program_ == nullptr) throw std::invalid_argument("reachability: " + error);
+    data_ = detail::DataWords(*program_, net_->num_transitions());
+    query_frame_ = program_->initial_frame();
   }
 
   const std::size_t num_places = net_->num_places();
-  const std::size_t data_words = track_data_ ? program_->schema().encoded_words() : 0;
+  const std::size_t data_words = data_.words();
   const std::size_t width = num_places + data_words;
   store_ = StateStore(width);
   configure_spill(options);
@@ -61,47 +79,45 @@ void ReachabilityGraph::explore(const ReachOptions& options) {
   // applied, interned, and undone — no Marking, key string, or successor
   // vector is allocated per edge.
   std::vector<std::uint32_t> scratch(width);
-  DataFrame parent_frame;
-  DataFrame cand_frame;
+  std::uint32_t* const tail = scratch.data() + num_places;
+  // What predicates read and actions start from: the initial data with the
+  // parent's data tail overlaid. `candidate` equals `parent` between
+  // firings — each sample resets the action's write set.
+  DataFrame parent = program_ != nullptr ? program_->initial_frame() : DataFrame{};
+  DataFrame candidate = parent;
   expr::VmScratch vm;
-  // What predicates read: the parent's decoded data, or the constant
-  // initial data of an action-free net (a plain net has no predicates).
-  const DataFrame& frame =
-      track_data_ || program_ == nullptr ? parent_frame : program_->initial_frame();
 
-  // Action-free nets have a constant data state, so each predicate has one
-  // truth value per run: memoize it at its first evaluation (the only one
-  // that could raise an error, so memoizing moves no failure).
+  // Without a data tail the data state is constant, so each predicate has
+  // one truth value per run: memoize it at its first evaluation (the only
+  // one that could raise an error, so memoizing moves no failure).
   std::vector<std::int8_t> pred_memo;
-  if (!track_data_) pred_memo.assign(net_->num_transitions(), -1);
+  if (data_words == 0) pred_memo.assign(net_->num_transitions(), -1);
   const auto predicate_holds = [&](TransitionId t) {
     const expr::Code* code = program_ != nullptr ? program_->predicate(t) : nullptr;
     if (code == nullptr) return true;
-    if (!track_data_) {
+    if (data_words == 0) {
       std::int8_t& memo = pred_memo[t.value];
-      if (memo < 0) memo = expr::vm_eval(*code, frame, nullptr, vm) != 0 ? 1 : 0;
+      if (memo < 0) memo = expr::vm_eval(*code, parent, nullptr, vm) != 0 ? 1 : 0;
       return memo != 0;
     }
-    return expr::vm_eval(*code, frame, nullptr, vm) != 0;
+    return expr::vm_eval(*code, parent, nullptr, vm) != 0;
   };
 
   {
     const Marking initial = Marking::initial(net_->net());
     std::memcpy(scratch.data(), initial.tokens().data(),
                 num_places * sizeof(std::uint32_t));
-    if (track_data_) {
-      program_->schema().encode(program_->initial_frame(), scratch.data() + num_places);
-    }
+    if (program_ != nullptr) data_.encode(program_->initial_frame(), tail);
     store_.intern(scratch);
   }
 
   Frontier frontier;
   frontier.push_back(0);
 
-  // Reused outcome-dedup buffers (stochastic actions): distinct encoded
-  // data words, first occurrence kept.
-  std::vector<std::vector<std::uint32_t>> outcome_keys;
-  std::size_t num_outcomes = 0;
+  // Reused outcome-dedup buffer: per distinct outcome of the action being
+  // sampled, a (present, value) pair per written slot, first occurrence
+  // kept.
+  std::vector<std::int64_t> outcomes;
 
   num_expanded_ = drive_frontier_bfs(frontier, edges_, [&](std::uint32_t state) {
     // Canonical-position stop poll: expansion order is canonical id order,
@@ -116,8 +132,23 @@ void ReachabilityGraph::explore(const ReachOptions& options) {
     store_.set_spill_floor(state);
     // Copies: interning may grow the arena while we expand.
     std::copy(store_.state(state).begin(), store_.state(state).end(), scratch.begin());
-    if (track_data_) program_->schema().decode(scratch.data() + num_places, parent_frame);
+    data_.decode(tail, parent);
+    data_.decode(tail, candidate);
     const std::span<const TokenCount> tokens(scratch.data(), num_places);
+
+    // Intern the successor in scratch; false stops the build.
+    const auto add_successor = [&](TransitionId t) {
+      const auto interned = store_.intern(scratch);
+      edges_.add(Edge{t, interned.index});
+      if (interned.inserted) {
+        if (store_.size() > options.max_states) {
+          status_ = ReachStatus::kTruncated;
+          return false;
+        }
+        frontier.push_back(interned.index);
+      }
+      return true;
+    };
 
     for (std::uint32_t ti = 0; ti < net_->num_transitions(); ++ti) {
       const TransitionId t(ti);
@@ -146,50 +177,46 @@ void ReachabilityGraph::explore(const ReachOptions& options) {
       }
 
       if (!net_->has_action(t)) {
-        // Deterministic data: the parent's data words are still in scratch.
-        const auto interned = store_.intern(scratch);
-        edges_.add(Edge{t, interned.index});
-        if (interned.inserted) {
-          if (store_.size() > options.max_states) {
-            status_ = ReachStatus::kTruncated;
-            return false;
-          }
-          frontier.push_back(interned.index);
-        }
+        // Unchanged data: the parent's data tail is still in scratch.
+        if (!add_successor(t)) return false;
       } else {
-        // Stochastic action: sample distinct outcomes (see header).
-        num_outcomes = 0;
-        const std::size_t samples = std::max<std::size_t>(options.irand_fanout_limit, 1);
+        // Run the action once, or sample it if it draws (see header).
+        const auto& facts = program_->action_facts(t);
+        const std::span<const std::uint32_t> writes = facts.writes;
+        const std::size_t row = 2 * writes.size();
+        const std::size_t num_scalars = program_->schema().num_scalars();
+        const std::size_t samples =
+            facts.draws ? std::max<std::size_t>(options.irand_fanout_limit, 1) : 1;
+        std::size_t num_outcomes = 0;
         for (std::size_t k = 0; k < samples; ++k) {
-          cand_frame.assign(parent_frame);
           Rng rng(detail::action_sample_seed(state, ti, k));
-          expr::vm_exec(*program_->action(t), cand_frame, &rng, vm);
-          if (outcome_keys.size() <= num_outcomes) outcome_keys.emplace_back();
-          std::vector<std::uint32_t>& key = outcome_keys[num_outcomes];
-          key.resize(data_words);
-          program_->schema().encode(cand_frame, key.data());
+          expr::vm_exec(*program_->action(t), candidate, &rng, vm);
+          outcomes.resize(std::max(outcomes.size(), (num_outcomes + 1) * row));
+          std::int64_t* out = outcomes.data() + num_outcomes * row;
+          for (std::size_t j = 0; j < writes.size(); ++j) {
+            const std::uint32_t s = writes[j];
+            const bool present = s >= num_scalars || candidate.present[s] != 0;
+            out[2 * j] = present ? 1 : 0;
+            out[2 * j + 1] = present ? candidate.values[s] : 0;
+            candidate.values[s] = parent.values[s];
+            if (s < num_scalars) candidate.present[s] = parent.present[s];
+          }
           bool seen = false;
           for (std::size_t i = 0; i < num_outcomes && !seen; ++i) {
-            seen = outcome_keys[i] == key;
+            seen = std::equal(out, out + row, outcomes.data() + i * row);
           }
           if (!seen) ++num_outcomes;
         }
 
         for (std::size_t i = 0; i < num_outcomes; ++i) {
-          std::memcpy(scratch.data() + num_places, outcome_keys[i].data(),
-                      data_words * sizeof(std::uint32_t));
-          const auto interned = store_.intern(scratch);
-          edges_.add(Edge{t, interned.index});
-          if (interned.inserted) {
-            if (store_.size() > options.max_states) {
-              status_ = ReachStatus::kTruncated;
-              return false;
-            }
-            frontier.push_back(interned.index);
+          const std::int64_t* out = outcomes.data() + i * row;
+          for (std::size_t j = 0; j < writes.size(); ++j) {
+            data_.put(tail, writes[j], out[2 * j] != 0, out[2 * j + 1]);
           }
+          if (!add_successor(t)) return false;
         }
-        // Restore the parent's data words for the next transition.
-        std::memcpy(scratch.data() + num_places, store_.state(state).data() + num_places,
+        // Restore the parent's data tail for the next transition.
+        std::memcpy(tail, store_.state(state).data() + num_places,
                     data_words * sizeof(std::uint32_t));
       }
 
@@ -204,30 +231,26 @@ void ReachabilityGraph::explore(const ReachOptions& options) {
 }
 
 std::int64_t ReachabilityGraph::transition_activity(std::size_t state, TransitionId t) const {
-  if (!net_->tokens_available(tokens(state), t)) return 0;
-  const expr::Code* predicate = program_ != nullptr ? program_->predicate(t) : nullptr;
-  if (predicate == nullptr) return 1;
-  // The shared frame/scratch are the only mutable state on this const
-  // path; serialize them so cached graphs take concurrent queries.
-  std::lock_guard<std::mutex> lock(query_mutex_);
-  if (!track_data_) {
-    return expr::vm_eval(*predicate, program_->initial_frame(), nullptr, query_scratch_) != 0
-               ? 1
-               : 0;
+  const auto tokens = this->tokens(state);
+  if (!net_->tokens_available(tokens, t)) return 0;
+  if (const expr::Code* predicate = program_ != nullptr ? program_->predicate(t) : nullptr) {
+    // The shared frame/scratch are the only mutable state on this const
+    // path; serialize them so cached graphs take concurrent queries.
+    std::lock_guard<std::mutex> lock(query_mutex_);
+    data_.decode(store_.state(state).data() + net_->num_places(), query_frame_);
+    if (expr::vm_eval(*predicate, query_frame_, nullptr, query_scratch_) == 0) return 0;
   }
-  program_->schema().decode(store_.state(state).data() + net_->num_places(), query_frame_);
-  return expr::vm_eval(*predicate, query_frame_, nullptr, query_scratch_) != 0 ? 1 : 0;
+  if (respect_capacities_ && overflows_capacity(*net_, tokens, t)) return 0;
+  return 1;
 }
 
 std::optional<std::int64_t> ReachabilityGraph::variable(std::size_t state,
                                                         std::string_view name) const {
-  if (track_data_) {
-    // Per-state data lives as encoded slot words in the arena; read the
-    // one scalar straight out of the state's word block.
+  if (program_ != nullptr) {
     const auto slot = program_->schema().scalar_slot(name);
     if (!slot) return std::nullopt;
-    return program_->schema().decode_scalar(
-        store_.state(state).data() + net_->num_places(), *slot);
+    return data_.scalar(store_.state(state).data() + net_->num_places(), *slot,
+                        program_->initial_frame());
   }
   const DataContext& d = net_->net().initial_data();
   if (d.has(name)) return d.get(name);

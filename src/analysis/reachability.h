@@ -9,32 +9,42 @@
 // them on one trace.
 //
 // Storage: states are interned as fixed-width word vectors (marking tokens,
-// plus encoded data words for interpreted nets) in a StateStore arena, and
-// edges live in one flat CSR pool (see state_store.h / exploration.h) — no
+// plus data words for interpreted nets) in a StateStore arena, and edges
+// live in one flat CSR pool (see state_store.h / exploration.h) — no
 // per-state strings, maps, or vectors. The graph queries below are scans
 // over those flat arrays, which is what lets `max_states` in the millions
 // fit in memory and cache.
 //
 // Interpreted nets: every predicate, action and computed delay must come
 // from the expression language (expr::compile_*), because exploration runs
-// them as bytecode against slot frames (expr/program.h) and stores a
-// state's data as encoded slot words next to its marking. A net with an
+// them as bytecode against slot frames (expr/program.h). A net with an
 // opaque C++ hook, or with an expression that does not compile (a builtin
 // arity mistake), is rejected with std::invalid_argument naming the
 // transition and hook, with or without spilling.
 //
-// An action calling `irand` makes the data successor nondeterministic. The
-// builder samples each action `irand_fanout_limit` times with distinct
-// deterministic seeds and adds one successor per distinct data outcome —
-// exact for deterministic actions, high-coverage sampling for small irand
-// ranges (the paper's models draw from ranges of size <= 5). The status
-// never claims completeness it does not have: nets with actions report
+// State words: a state's data tail holds only the value slots in the union
+// of all actions' write sets (NetProgram::ActionFacts) — a presence bitmask
+// over the written scalars, then lo,hi words per written slot (DataWords
+// below). Every other slot (tables no action stores into, scalars no
+// action assigns) is constant across the reachable set and is read from
+// NetProgram::initial_frame(); decoding overlays the stored slots onto it.
+// A net whose actions write no net-level data has no data tail at all.
+//
+// Actions: a draw-free action (no `irand`) runs once per firing — its
+// outcome is a function of the parent frame. An action that draws makes
+// the data successor nondeterministic: the builder samples it
+// max(irand_fanout_limit, 1) times with distinct deterministic seeds and
+// adds one successor per distinct outcome of its write set, in
+// first-occurrence order — high-coverage sampling for small irand ranges
+// (the paper's models draw from ranges of size <= 5). The status never
+// claims completeness it does not have: nets with drawing actions report
 // kComplete only in the sampled sense documented here.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,6 +94,78 @@ struct ReachOptions {
   StopToken stop;
 };
 
+namespace detail {
+
+/// The data tail of a state's arena words (see file comment): presence
+/// bits for the written scalars, then lo,hi words per written value slot,
+/// in ascending slot order. Two states' tails are equal iff their frames
+/// are, because every slot outside the tail is constant.
+class DataWords {
+ public:
+  DataWords() = default;
+  DataWords(const expr::NetProgram& program, std::size_t num_transitions);
+
+  [[nodiscard]] std::size_t words() const { return mask_words_ + 2 * slots_.size(); }
+
+  /// Store one slot's (presence, value) into a tail; `slot` must be written
+  /// by some action. An absent scalar stores zero value words.
+  void put(std::uint32_t* tail, std::uint32_t slot, bool present, std::int64_t value) const {
+    const std::uint32_t j = position_[slot];
+    if (slot < schema_scalars_) {
+      const std::uint32_t bit = 1u << (j & 31);
+      tail[j >> 5] = present ? tail[j >> 5] | bit : tail[j >> 5] & ~bit;
+    }
+    const auto u = present ? static_cast<std::uint64_t>(value) : 0;
+    tail[mask_words_ + 2 * j] = static_cast<std::uint32_t>(u);
+    tail[mask_words_ + 2 * j + 1] = static_cast<std::uint32_t>(u >> 32);
+  }
+
+  /// Encode every stored slot of `frame`.
+  void encode(const DataFrame& frame, std::uint32_t* tail) const {
+    for (const std::uint32_t s : slots_) {
+      put(tail, s, s >= schema_scalars_ || frame.present[s] != 0, frame.values[s]);
+    }
+  }
+
+  /// Overlay the stored slots onto `frame`, which must otherwise hold the
+  /// initial frame's values.
+  void decode(const std::uint32_t* tail, DataFrame& frame) const {
+    for (std::size_t j = 0; j < slots_.size(); ++j) {
+      frame.values[slots_[j]] = value_at(tail, j);
+      if (slots_[j] < schema_scalars_) frame.present[slots_[j]] = present_at(tail, j);
+    }
+  }
+
+  /// One scalar of the state with data tail `tail`; nullopt if absent.
+  [[nodiscard]] std::optional<std::int64_t> scalar(const std::uint32_t* tail,
+                                                   std::uint32_t slot,
+                                                   const DataFrame& initial) const {
+    const std::uint32_t j = position_[slot];
+    const bool present = j == kConstant ? initial.present[slot] != 0 : present_at(tail, j);
+    if (!present) return std::nullopt;
+    return j == kConstant ? initial.values[slot] : value_at(tail, j);
+  }
+
+ private:
+  static constexpr std::uint32_t kConstant = ~std::uint32_t{0};
+
+  static bool present_at(const std::uint32_t* tail, std::size_t j) {
+    return ((tail[j >> 5] >> (j & 31)) & 1u) != 0;
+  }
+  [[nodiscard]] std::int64_t value_at(const std::uint32_t* tail, std::size_t j) const {
+    const std::uint64_t lo = tail[mask_words_ + 2 * j];
+    const std::uint64_t hi = tail[mask_words_ + 2 * j + 1];
+    return static_cast<std::int64_t>(lo | (hi << 32));
+  }
+
+  std::vector<std::uint32_t> slots_;     ///< stored value slots, ascending
+  std::vector<std::uint32_t> position_;  ///< per schema slot: index in slots_
+  std::size_t schema_scalars_ = 0;
+  std::size_t mask_words_ = 0;           ///< scalars come first in slots_
+};
+
+}  // namespace detail
+
 enum class ReachStatus : std::uint8_t {
   kComplete,
   kTruncated,
@@ -118,7 +200,8 @@ class ReachabilityGraph final : public StateSpace {
   [[nodiscard]] std::int64_t place_tokens(std::size_t state, PlaceId p) const override {
     return store_.state(state)[p.value];
   }
-  /// 1 if `t` is enabled in the state, else 0.
+  /// 1 if `t` is enabled in the state, else 0: its tokens and predicate
+  /// hold and, when the build respected capacities, it overflows none.
   [[nodiscard]] std::int64_t transition_activity(std::size_t state,
                                                  TransitionId t) const override;
   [[nodiscard]] std::optional<std::int64_t> variable(std::size_t state,
@@ -181,8 +264,8 @@ class ReachabilityGraph final : public StateSpace {
   /// over a counting-sorted reverse CSR.
   [[nodiscard]] bool is_reversible() const;
 
-  /// Heap footprint of the graph: arena (marking plus, for nets with
-  /// actions, encoded data words per state) + intern table + edge pool. In
+  /// Heap footprint of the graph: arena (marking plus, for nets whose
+  /// actions write data, the data tail per state) + intern table + edge pool. In
   /// spill mode this is the exact *resident* footprint — spilled segments
   /// are counted by spilled_bytes() instead. The bench reports this as
   /// bytes/state.
@@ -211,8 +294,8 @@ class ReachabilityGraph final : public StateSpace {
   ReachStatus status_ = ReachStatus::kComplete;
   StateStore store_;
   EdgeCsr<Edge> edges_;
-  /// Data words join each state's arena words (net_has_actions()).
-  bool track_data_ = false;
+  detail::DataWords data_;  ///< each state's data tail (empty without actions)
+  bool respect_capacities_ = false;
   std::size_t num_expanded_ = 0;  ///< fully-expanded prefix length
 
   /// Bytecode runtime (null for a plain net, which has no hooks);

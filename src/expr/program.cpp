@@ -419,6 +419,22 @@ void collect_created(const std::vector<Statement>& statements,
   }
 }
 
+NetProgram::ActionFacts scan_action(const Code& code) {
+  NetProgram::ActionFacts facts;
+  for (const Instr& in : code.instrs) {
+    if (in.op == Op::kIrand) facts.draws = true;
+    if (in.op == Op::kStoreSlot) facts.writes.push_back(static_cast<std::uint32_t>(in.a));
+    if (in.op == Op::kStoreTable) {
+      const Code::TableRef& t = code.tables[static_cast<std::size_t>(in.a)];
+      for (std::uint32_t i = 0; i < t.size; ++i) facts.writes.push_back(t.base + i);
+    }
+  }
+  std::sort(facts.writes.begin(), facts.writes.end());
+  facts.writes.erase(std::unique(facts.writes.begin(), facts.writes.end()),
+                     facts.writes.end());
+  return facts;
+}
+
 }  // namespace
 
 std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net) {
@@ -476,6 +492,7 @@ std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net,
   result->initial_frame_ = result->schema_.make_frame(net.initial_data());
   result->predicates_.resize(n);
   result->actions_.resize(n);
+  result->action_facts_.resize(n);
   result->firing_delays_.resize(n);
   result->enabling_delays_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -502,6 +519,7 @@ std::shared_ptr<const NetProgram> NetProgram::compile(const Net& net,
     if (ok && actions[i] != nullptr) {
       ok = hook("action", [&] {
         result->actions_[i] = compile_program(*actions[i], result->schema_);
+        result->action_facts_[i] = scan_action(*result->actions_[i]);
       });
     }
     if (ok && firing[i] != nullptr) {

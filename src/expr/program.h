@@ -10,7 +10,9 @@
 //     are syntactic, so the universe is statically known and the state
 //     encoding never has to widen mid-run);
 //   * the initial DataFrame;
-//   * per-transition bytecode (expr/vm.h) for each attached expression.
+//   * per-transition bytecode (expr/vm.h) for each attached expression;
+//   * per-action facts (ActionFacts) read off the compiled instruction
+//     stream, user fn bodies included: does it draw, what can it write.
 //
 // Compilation is semantics-preserving down to error behaviour: names that
 // can never resolve lower to throw instructions that raise the AST
@@ -22,6 +24,7 @@
 // DataContext/AST path; the reachability builders reject the net.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -73,6 +76,20 @@ class NetProgram {
   [[nodiscard]] const Code* action(TransitionId t) const {
     return opt(actions_[t.value]);
   }
+  /// What an action can do to a frame, from a scan of its Code::instrs.
+  /// Exploration runs a draw-free action once per firing and stores per
+  /// state only the slots some action writes.
+  struct ActionFacts {
+    bool draws = false;  ///< contains a kIrand (outcome depends on the rng)
+    /// Value slots the action can write, ascending and unique: kStoreSlot's
+    /// scalar slots plus the whole entry range of each kStoreTable's table.
+    std::vector<std::uint32_t> writes;
+  };
+  /// Facts of t's action; empty (no draw, no writes) when t has none.
+  [[nodiscard]] const ActionFacts& action_facts(TransitionId t) const {
+    return action_facts_[t.value];
+  }
+
   [[nodiscard]] const Code* firing_delay(TransitionId t) const {
     return opt(firing_delays_[t.value]);
   }
@@ -89,6 +106,7 @@ class NetProgram {
   DataFrame initial_frame_;
   std::vector<std::optional<Code>> predicates_;
   std::vector<std::optional<Code>> actions_;
+  std::vector<ActionFacts> action_facts_;
   std::vector<std::optional<Code>> firing_delays_;
   std::vector<std::optional<Code>> enabling_delays_;
 };

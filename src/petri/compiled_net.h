@@ -133,7 +133,6 @@ class CompiledNet {
   }
   /// Whole-net summaries.
   [[nodiscard]] bool net_has_inhibitors() const { return net_has_inhibitors_; }
-  [[nodiscard]] bool net_has_actions() const { return net_has_actions_; }
   [[nodiscard]] bool net_is_interpreted() const { return !predicated_.empty() || net_has_actions_; }
   /// Any predicate, action or computed delay: the net needs an
   /// expr::NetProgram to run.

@@ -18,19 +18,12 @@
 // "= 0" are different states, exactly as in DataContext) — copyable with
 // two memcpys, no allocation, no hashing.
 //
-// The schema also defines the canonical word encoding used to intern a
-// frame into a StateStore arena:
-//
-//   [ presence bitmask words | lo,hi per scalar slot | lo,hi per table entry ]
-//
-// Absent scalars encode as zero words (masked off by the bitmask bit), so
-// the encoding is injective over (presence, values) — two frames encode
-// identically iff they are equal. Tables from the initial data are always
-// present at a fixed size, so they need no presence bits.
+// Frames never enter a state store in this form: the reachability builder
+// keeps per state only the slots an action can write (its own word codec,
+// analysis/reachability.h).
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -46,7 +39,7 @@ struct DataFrame {
   std::vector<std::int64_t> values;  ///< scalar slots, then table entries
   std::vector<std::uint8_t> present; ///< one byte per scalar slot
 
-  /// Flat copy (the per-sample clone in action sampling); keeps capacity.
+  /// Flat copy (the simulators' before-firing snapshot); keeps capacity.
   void assign(const DataFrame& other) {
     values.assign(other.values.begin(), other.values.end());
     present.assign(other.present.begin(), other.present.end());
@@ -59,8 +52,8 @@ struct DataFrame {
 class DataSchema {
  public:
   /// Upper bound on total value slots (scalars + table entries). Kept well
-  /// under 2^32 so the uint32 slot indices, the 2-words-per-slot encoding
-  /// and the mmap'd spill segment offsets can never overflow; build()
+  /// under 2^32 so the uint32 slot indices, the 2-words-per-slot state
+  /// words and the mmap'd spill segment offsets can never overflow; build()
   /// throws std::invalid_argument instead of wrapping.
   static constexpr std::size_t kMaxSlots = std::size_t{1} << 28;
   struct Table {
@@ -100,56 +93,6 @@ class DataSchema {
   /// Materialize the description form (trace dumps, data() accessors,
   /// to_string): present scalars and all tables.
   [[nodiscard]] DataContext to_context(const DataFrame& frame) const;
-
-  // --- frame <-> arena words (the intern key) -------------------------------
-
-  [[nodiscard]] std::size_t mask_words() const { return (scalar_names_.size() + 31) / 32; }
-  [[nodiscard]] std::size_t encoded_words() const {
-    return mask_words() + 2 * num_values_;
-  }
-
-  void encode(const DataFrame& frame, std::uint32_t* out) const {
-    const std::size_t masks = mask_words();
-    std::memset(out, 0, masks * sizeof(std::uint32_t));
-    for (std::size_t i = 0; i < scalar_names_.size(); ++i) {
-      if (frame.present[i] != 0) out[i >> 5] |= 1u << (i & 31);
-    }
-    std::uint32_t* v = out + masks;
-    for (std::size_t i = 0; i < num_values_; ++i) {
-      // Absent scalar slots hold stale values in the frame; zero their
-      // words so the encoding depends only on (presence, live values).
-      const bool live = i >= scalar_names_.size() || frame.present[i] != 0;
-      const auto u = live ? static_cast<std::uint64_t>(frame.values[i]) : 0;
-      *v++ = static_cast<std::uint32_t>(u);
-      *v++ = static_cast<std::uint32_t>(u >> 32);
-    }
-  }
-
-  void decode(const std::uint32_t* in, DataFrame& frame) const {
-    frame.values.resize(num_values_);
-    frame.present.resize(scalar_names_.size());
-    const std::size_t masks = mask_words();
-    for (std::size_t i = 0; i < scalar_names_.size(); ++i) {
-      frame.present[i] = (in[i >> 5] >> (i & 31)) & 1u;
-    }
-    const std::uint32_t* v = in + masks;
-    for (std::size_t i = 0; i < num_values_; ++i) {
-      const std::uint64_t lo = *v++;
-      const std::uint64_t hi = *v++;
-      frame.values[i] = static_cast<std::int64_t>(lo | (hi << 32));
-    }
-  }
-
-  /// Read one scalar straight out of an encoded word block (the per-state
-  /// variable() query — no full frame decode). nullopt if absent.
-  [[nodiscard]] std::optional<std::int64_t> decode_scalar(const std::uint32_t* in,
-                                                          std::uint32_t slot) const {
-    if (((in[slot >> 5] >> (slot & 31)) & 1u) == 0) return std::nullopt;
-    const std::uint32_t* v = in + mask_words() + 2 * slot;
-    const std::uint64_t lo = v[0];
-    const std::uint64_t hi = v[1];
-    return static_cast<std::int64_t>(lo | (hi << 32));
-  }
 
  private:
   std::vector<std::string> scalar_names_;  ///< sorted; slot i = index i

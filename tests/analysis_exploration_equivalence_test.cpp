@@ -7,11 +7,15 @@
 // immediately before the port; the new core must reproduce them exactly.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "../bench/reach_models.h"
 #include "analysis/reachability.h"
 #include "analysis/timed_reachability.h"
 #include "pipeline/interpreted.h"
 #include "pipeline/model.h"
+#include "textio/pn_format.h"
 
 namespace pnut::analysis {
 namespace {
@@ -33,6 +37,49 @@ TEST(ExplorationEquivalence, ReachFig1Prefetch) {
 TEST(ExplorationEquivalence, ReachFig4Interpreted) {
   expect_reach_golden(pipeline::build_interpreted_pipeline(),
                       reach_models::kFig4Interpreted);
+}
+
+TEST(ExplorationEquivalence, ScriptedFig4MatchesBuilder) {
+  // examples/models/fig4_interpreted.pn is a hand port of the C++ builder:
+  // its untimed graph must be the builder's, edge for edge, with the same
+  // tokens and the same values of every data-carrying variable per state.
+  std::ifstream in(std::string(PNUT_MODELS_DIR) + "/fig4_interpreted.pn");
+  ASSERT_TRUE(in) << "missing fig4_interpreted.pn";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Net scripted = textio::parse_net(text.str()).net;
+  const Net built = pipeline::build_interpreted_pipeline();
+  ASSERT_EQ(scripted.num_places(), built.num_places());
+  ASSERT_EQ(scripted.num_transitions(), built.num_transitions());
+  for (std::size_t i = 0; i < built.num_places(); ++i) {
+    EXPECT_EQ(scripted.places()[i].name, built.places()[i].name);
+  }
+  for (std::size_t i = 0; i < built.num_transitions(); ++i) {
+    EXPECT_EQ(scripted.transitions()[i].name, built.transitions()[i].name);
+  }
+  expect_reach_golden(scripted, reach_models::kFig4Interpreted);
+
+  ReachOptions options;
+  options.max_states = 1'000'000;
+  const ReachabilityGraph a(scripted, options);
+  const ReachabilityGraph b(built, options);
+  ASSERT_EQ(a.num_states(), b.num_states());
+  for (std::size_t s = 0; s < b.num_states(); ++s) {
+    const auto ta = a.tokens(s);
+    const auto tb = b.tokens(s);
+    ASSERT_TRUE(std::equal(ta.begin(), ta.end(), tb.begin(), tb.end())) << "state " << s;
+    for (const char* name : {"type", "number_of_operands_needed", "extra_words_needed",
+                             "exec_cycles_current", "store_needed", "max_type"}) {
+      ASSERT_EQ(a.variable(s, name), b.variable(s, name)) << "state " << s << " " << name;
+    }
+    const auto ea = a.edges(s);
+    const auto eb = b.edges(s);
+    ASSERT_EQ(ea.size(), eb.size()) << "state " << s;
+    for (std::size_t e = 0; e < eb.size(); ++e) {
+      ASSERT_EQ(ea[e].transition, eb[e].transition) << "state " << s << " edge " << e;
+      ASSERT_EQ(ea[e].target, eb[e].target) << "state " << s << " edge " << e;
+    }
+  }
 }
 
 TEST(ExplorationEquivalence, ReachFullModel) {

@@ -253,6 +253,31 @@ TEST(QueryOnGraphBranching, InevHandlesCycles) {
       << "the a<->b cycle is a path that never reaches Target";
 }
 
+TEST(QueryOnGraphCapacities, TransitionActivityRespectsCapacities) {
+  // t would overflow p's capacity, so a capacity-respecting build has no
+  // edge for it: t(s) must agree with the graph, not with the token test.
+  Net net;
+  const PlaceId q = net.add_place("q", 1);
+  const PlaceId p = net.add_place("p", 1, 1);
+  const TransitionId t = net.add_transition("t");
+  net.add_input(t, q);
+  net.add_output(t, p);
+  ReachOptions options;
+  options.respect_capacities = true;
+  const ReachabilityGraph graph(net, options);
+  ASSERT_EQ(graph.num_states(), 1u);
+  ASSERT_EQ(graph.num_edges(), 0u);
+  ASSERT_EQ(graph.deadlock_states().size(), 1u);
+  EXPECT_EQ(graph.transition_activity(0, t), 0);
+  const QueryResult r = eval_query(graph, "exists s in S [ t(s) > 0 ]");
+  EXPECT_FALSE(r.holds) << r.explanation;
+  EXPECT_FALSE(r.witness.has_value());
+  // Without the flag the firing is a real edge, and t(s) says so.
+  const ReachabilityGraph unbounded(net);
+  EXPECT_EQ(unbounded.num_edges(), 1u);
+  EXPECT_EQ(unbounded.transition_activity(0, t), 1);
+}
+
 TEST(QueryVariables, DataVariablesReadableInStates) {
   Net net;
   net.initial_data().set("x", 0);

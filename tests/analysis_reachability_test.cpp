@@ -393,10 +393,10 @@ Net stop_vs_throw_net(bool throw_in_predicate) {
   net.add_output(boom, boom_p);
   net.initial_data().set("zero", 0);
   if (throw_in_predicate) {
-    // Predicates leave net_has_actions() false: marking-only states.
+    // Predicates write no data: marking-only states.
     net.set_predicate(boom, expr::compile_predicate("1 / zero > 0"));
   } else {
-    // Actions track data: data words join every state.
+    // The action writes `zero`: its data words join every state.
     net.set_action(boom, expr::compile_action("zero = 1 / zero"));
   }
   return net;
