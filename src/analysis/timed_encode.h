@@ -1,14 +1,17 @@
-// State encoding, scheduler and successor rule of the timed reachability
-// builder (timed_reachability.cpp): the word layout, the timed
-// eligibility/normalization rules, the two-bucket 0-1 BFS scheduler and
-// the one successor-enumeration function, the way exploration.h's detail
-// helpers serve the untimed builder.
+// State layout, scheduler and successor kernel of the timed reachability
+// builder (timed_reachability.cpp), the way exploration.h's detail helpers
+// serve the untimed builder.
 //
-// Word layout of an interned timed state (see timed_reachability.h):
-//   [ marking tokens | per-transition remaining enabling delay |
-//     per-(transition, remaining-cycles) in-flight firing counts ]
-// — a canonical fixed-width encoding (the in-flight multiset becomes counts
-// indexed by remaining time), so interning needs no strings and no sorting.
+// A state is the word vector [ marking tokens | per-transition remaining
+// enabling delay | per-(transition, remaining-cycles) in-flight counts ]
+// (see timed_reachability.h), canonical in that an ineligible transition
+// holds its full enabling delay. The kernel works on these words directly,
+// with no decoded working form and no per-successor allocation: it copies
+// the parent once, builds each successor in one reused buffer, and
+// re-tests eligibility only for the watchers of places whose tokens
+// changed. That is exact because the parent is canonical: no other
+// transition's eligibility, hence its timer, can have changed. The width
+// is capped at kMaxTimedStateWords, so 32-bit slot offsets cannot wrap.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +22,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/timed_reachability.h"
@@ -134,15 +136,14 @@ struct TimedLayout {
   std::vector<std::uint32_t> enabling_delay;  ///< per transition
   std::vector<std::uint32_t> firing_delay;    ///< per transition
   /// inflight_off[t] .. inflight_off[t+1]-1: count slots for transition t,
-  /// indexed by remaining-cycles - 1. inflight_off[nt] is the state width.
+  /// indexed by remaining-cycles - 1. inflight_off[nt] is the state width,
+  /// at most kMaxTimedStateWords.
   std::vector<std::uint32_t> inflight_off;
 
   [[nodiscard]] std::size_t width() const { return inflight_off[num_transitions]; }
 
-  /// Derive the layout, validating the net for timed analysis. Throws
-  /// std::invalid_argument if any delay is not a non-negative integer
-  /// constant, or if the net is interpreted (predicates/actions) — timed
-  /// analysis is defined on the uninterpreted timing skeleton.
+  /// Derive the layout, validating the net for timed analysis; throws as
+  /// the TimedReachabilityGraph constructor documents.
   static TimedLayout build(const CompiledNet& net) {
     const auto integer_delay = [](const DelaySpec& spec, const std::string& transition,
                                   const char* kind) {
@@ -155,6 +156,10 @@ struct TimedLayout {
       if (value < 0 || value != std::floor(value)) {
         throw std::invalid_argument("TimedReachabilityGraph: transition '" + transition +
                                     "' has a non-integer " + kind + " time");
+      }
+      if (value >= 4294967296.0) {
+        throw std::out_of_range("transition '" + transition + "' has " + kind +
+                                " time 2^32 or more: timed states hold delays in 32-bit words");
       }
       return static_cast<std::uint32_t>(value);
     };
@@ -178,157 +183,140 @@ struct TimedLayout {
       layout.firing_delay[i] =
           integer_delay(net.firing_time(t), net.transition_name(t), "firing");
     }
+    const std::string too_wide =
+        ": a timed state would be wider than " + std::to_string(kMaxTimedStateWords) + " words";
+    std::uint64_t end = layout.num_places + nt;  // 64-bit: delays may sum past 2^32
+    if (end > kMaxTimedStateWords) {
+      throw std::out_of_range(std::to_string(layout.num_places) + " places and " +
+                              std::to_string(nt) + " transitions" + too_wide);
+    }
     layout.inflight_off.resize(nt + 1);
-    layout.inflight_off[0] = static_cast<std::uint32_t>(layout.num_places + nt);
-    for (std::size_t i = 0; i < nt; ++i) {
-      layout.inflight_off[i + 1] = layout.inflight_off[i] + layout.firing_delay[i];
+    layout.inflight_off[0] = static_cast<std::uint32_t>(end);
+    for (std::uint32_t i = 0; i < nt; ++i) {
+      end += layout.firing_delay[i];
+      if (end > kMaxTimedStateWords) {
+        throw std::out_of_range("transition '" + net.transition_name(TransitionId(i)) +
+                                "' has firing time " +
+                                std::to_string(layout.firing_delay[i]) + too_wide);
+      }
+      layout.inflight_off[i + 1] = static_cast<std::uint32_t>(end);
     }
     return layout;
   }
 };
 
-/// Working form of a timed state during expansion; interned states live as
-/// fixed-width word vectors in the arena (layout above).
-struct TimedState {
-  Marking marking;
-  /// Remaining enabling delay per transition (0 = ready or not enabled).
-  std::vector<std::uint32_t> enabling_left;
-  /// In-flight firings: (transition, remaining cycles), sorted.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> in_flight;
+/// Eligibility under timed semantics, read off a state's words:
+/// token-enabled, and a single-server transition must have no firing of its
+/// own in flight.
+inline bool timed_eligible(const CompiledNet& net, const TimedLayout& layout,
+                           const std::uint32_t* words, std::uint32_t t) {
+  if (net.is_single_server(TransitionId(t))) {
+    for (std::uint32_t i = layout.inflight_off[t]; i < layout.inflight_off[t + 1]; ++i) {
+      if (words[i] != 0) return false;
+    }
+  }
+  return net.tokens_available(std::span<const TokenCount>(words, layout.num_places),
+                              TransitionId(t));
+}
+
+/// Reused buffers of the successor kernel: the expanding state's words (a
+/// copy: interning a successor may reallocate or evict the arena slice),
+/// the successor being built, and the parent's per-transition eligibility.
+struct TimedScratch {
+  explicit TimedScratch(const TimedLayout& layout)
+      : parent(layout.width()), next(layout.width()), eligible(layout.num_transitions) {}
+  std::vector<std::uint32_t> parent, next;
+  std::vector<std::uint8_t> eligible;
 };
 
-inline void encode_timed(const TimedLayout& layout, const TimedState& s,
-                         std::span<std::uint32_t> out) {
-  const std::size_t np = layout.num_places;
-  const std::size_t nt = layout.num_transitions;
-  std::memcpy(out.data(), s.marking.tokens().data(), np * sizeof(std::uint32_t));
-  std::memcpy(out.data() + np, s.enabling_left.data(), nt * sizeof(std::uint32_t));
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(np + nt), out.end(), 0u);
-  for (const auto& [t, left] : s.in_flight) ++out[layout.inflight_off[t] + left - 1];
-}
-
-inline TimedState decode_timed(const TimedLayout& layout,
-                               std::span<const std::uint32_t> words) {
-  const std::size_t np = layout.num_places;
-  const std::size_t nt = layout.num_transitions;
-  TimedState s;
-  s.marking = Marking::from_tokens(words.first(np));
-  s.enabling_left.assign(words.begin() + static_cast<std::ptrdiff_t>(np),
-                         words.begin() + static_cast<std::ptrdiff_t>(np + nt));
-  for (std::uint32_t t = 0; t < nt; ++t) {
-    for (std::uint32_t left = 1; left <= layout.firing_delay[t]; ++left) {
-      for (std::uint32_t c = words[layout.inflight_off[t] + left - 1]; c > 0; --c) {
-        s.in_flight.emplace_back(t, left);
-      }
-    }
-  }
-  return s;
-}
-
-/// Eligibility under timed semantics: token-enabled, and single-server
-/// transitions must not have a firing of their own in flight.
-inline bool timed_eligible(const CompiledNet& net, const TimedState& s, std::uint32_t t) {
-  if (net.is_single_server(TransitionId(t))) {
-    for (const auto& [ft, left] : s.in_flight) {
-      if (ft == t) return false;
-    }
-  }
-  return net.tokens_available(s.marking, TransitionId(t));
-}
-
-/// Canonical form: eligible transitions carry their remaining enabling
-/// delay; ineligible ones carry the full delay (reset timers). `previous`
-/// carries over running timers for continuously-eligible transitions.
-inline void timed_normalize(const CompiledNet& net, const TimedLayout& layout,
-                            TimedState& s, const TimedState* previous) {
-  for (std::uint32_t t = 0; t < layout.num_transitions; ++t) {
-    if (timed_eligible(net, s, t)) {
-      if (previous != nullptr && previous->enabling_left[t] <= layout.enabling_delay[t] &&
-          timed_eligible(net, *previous, t)) {
-        s.enabling_left[t] = previous->enabling_left[t];
-      }
-      // Newly eligible: keep what the caller pre-set (full delay).
-    } else {
-      s.enabling_left[t] = layout.enabling_delay[t];
-    }
-  }
-  std::sort(s.in_flight.begin(), s.in_flight.end());
-}
-
-inline TimedState timed_initial_state(const CompiledNet& net, const TimedLayout& layout) {
-  TimedState initial;
-  initial.marking = Marking::initial(net.net());
-  initial.enabling_left = layout.enabling_delay;
-  timed_normalize(net, layout, initial, nullptr);
-  return initial;
-}
-
-/// Enumerate the timed successors of `s` in canonical order: ready firings
-/// in ascending transition order (maximal progress — time may not pass
-/// while something is ready), else the single one-cycle tick, else nothing
-/// (timed deadlock). `emit(label, next, cost)`
-/// — label nullopt for the tick, cost 0 for firings and 1 for the tick —
+/// Enumerate the timed successors of the interned state `state` in
+/// canonical order: ready firings in ascending transition order (maximal
+/// progress — time may not pass while something is ready), else the single
+/// one-cycle tick, else nothing (timed deadlock). Each successor is built
+/// in place in `w.next` and passed as `emit(label, words, cost)` — label
+/// nullopt for the tick, cost 0 for firings and 1 for the tick — which
 /// returns false to abort the enumeration; the function then returns false
-/// (the builder's state-cap stop rule).
+/// (the builder's state-cap stop rule). Eligibility reads a transition's
+/// input and inhibitor places and, if single-server, its own in-flight
+/// slots; so only watchers of changed places, and the fired transition,
+/// need their timers checked.
 template <typename EmitFn>
 bool for_each_timed_successor(const CompiledNet& net, const TimedLayout& layout,
-                              const TimedState& s, EmitFn&& emit) {
+                              std::span<const std::uint32_t> state, TimedScratch& w,
+                              EmitFn&& emit) {
+  const std::size_t np = layout.num_places;
   const std::size_t nt = layout.num_transitions;
+  const std::span<const std::uint32_t> next_words(w.next);
+  const std::size_t bytes = next_words.size_bytes();
+  std::uint32_t* const parent = w.parent.data();
+  std::uint32_t* const next = w.next.data();
+  std::uint32_t* const timer = next + np;
+  std::memcpy(parent, state.data(), bytes);
+  for (std::uint32_t t = 0; t < nt; ++t) w.eligible[t] = timed_eligible(net, layout, parent, t);
+  const auto reset_watchers = [&](PlaceId p) {
+    for (const TransitionId u : net.eligibility_watchers(p)) {
+      if (!timed_eligible(net, layout, next, u.value)) {
+        timer[u.value] = layout.enabling_delay[u.value];
+      }
+    }
+  };
 
   // Ready transitions fire before time may pass (maximal progress).
   bool any_ready = false;
   for (std::uint32_t t = 0; t < nt; ++t) {
-    if (s.enabling_left[t] != 0 || !timed_eligible(net, s, t)) continue;
+    if (w.eligible[t] == 0 || parent[np + t] != 0) continue;
     any_ready = true;
-    TimedState next = s;
-    for (const Arc& a : net.inputs(TransitionId(t))) next.marking.remove(a.place, a.weight);
-    if (layout.firing_delay[t] == 0) {
-      for (const Arc& a : net.outputs(TransitionId(t))) next.marking.add(a.place, a.weight);
+    const TransitionId tid(t);
+    const std::uint32_t delay = layout.firing_delay[t];
+    std::memcpy(next, parent, bytes);
+    for (const Arc& a : net.inputs(tid)) next[a.place.value] -= a.weight;
+    if (delay == 0) {
+      for (const Arc& a : net.outputs(tid)) add_tokens(next[a.place.value], a.place, a.weight);
     } else {
-      next.in_flight.emplace_back(t, layout.firing_delay[t]);
+      ++next[layout.inflight_off[t] + delay - 1];
     }
-    // The fired transition's own timer restarts.
-    next.enabling_left[t] = layout.enabling_delay[t];
-    timed_normalize(net, layout, next, &s);
-    // A fired transition must re-earn its enabling delay even if still
-    // eligible (normalize would otherwise carry the old 0 over).
-    if (timed_eligible(net, next, t)) next.enabling_left[t] = layout.enabling_delay[t];
-    if (!emit(std::optional<TransitionId>(TransitionId(t)), next, std::uint64_t{0})) {
-      return false;
+    timer[t] = layout.enabling_delay[t];  // the fired transition re-earns its delay
+    for (const Arc& a : net.inputs(tid)) reset_watchers(a.place);
+    if (delay == 0) {
+      for (const Arc& a : net.outputs(tid)) reset_watchers(a.place);
     }
+    if (!emit(std::optional<TransitionId>(tid), next_words, std::uint64_t{0})) return false;
   }
   if (any_ready) return true;  // time may not pass while something is ready
 
   // Tick: possible iff something is waiting (an armed timer or an
   // in-flight firing); otherwise the state is a timed deadlock.
-  bool anything_waiting = !s.in_flight.empty();
-  for (std::uint32_t t = 0; t < nt && !anything_waiting; ++t) {
-    anything_waiting = timed_eligible(net, s, t);  // armed enabling timer
+  const auto nonzero = [](std::uint32_t x) { return x != 0; };
+  if (std::none_of(w.eligible.begin(), w.eligible.end(), nonzero) &&
+      std::none_of(parent + np + nt, parent + next_words.size(), nonzero)) {
+    return true;  // deadlock: no outgoing edges
   }
-  if (!anything_waiting) return true;  // deadlock: no outgoing edges
 
-  TimedState next = s;
+  std::memcpy(next, parent, bytes);
   for (std::uint32_t t = 0; t < nt; ++t) {
-    if (timed_eligible(net, s, t) && next.enabling_left[t] > 0) next.enabling_left[t] -= 1;
+    if (w.eligible[t] != 0) --timer[t];  // nonzero: nothing is ready
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> still_flying;
-  for (auto [t, left] : next.in_flight) {
-    if (left > 1) {
-      still_flying.emplace_back(t, left - 1);
-    } else {
-      for (const Arc& a : net.outputs(TransitionId(t))) next.marking.add(a.place, a.weight);
+  // Every in-flight count moves one slot down; slot 0's firings complete.
+  for (std::uint32_t t = 0; t < nt; ++t) {
+    const std::uint32_t delay = layout.firing_delay[t];
+    if (delay == 0) continue;
+    std::uint32_t* const slots = next + layout.inflight_off[t];
+    const std::uint32_t done = slots[0];
+    std::memmove(slots, slots + 1, (delay - 1) * sizeof(std::uint32_t));
+    slots[delay - 1] = 0;
+    for (std::uint32_t c = 0; c < done; ++c) {
+      for (const Arc& a : net.outputs(TransitionId(t))) {
+        add_tokens(next[a.place.value], a.place, a.weight);
+      }
     }
   }
-  next.in_flight = std::move(still_flying);
-  {
-    // Completions may enable new transitions; carry running timers over.
-    TimedState carry = s;
-    carry.marking = next.marking;      // eligibility in the *new* marking
-    carry.in_flight = next.in_flight;  // and with the new in-flight set
-    carry.enabling_left = next.enabling_left;
-    timed_normalize(net, layout, next, &carry);
+  // Completions only add tokens and empty in-flight slots: a transition
+  // turns ineligible only through an inhibitor on a place that gained.
+  for (std::uint32_t t = 0; t < nt; ++t) {
+    if (layout.firing_delay[t] == 0 || parent[layout.inflight_off[t]] == 0) continue;
+    for (const Arc& a : net.outputs(TransitionId(t))) reset_watchers(a.place);
   }
-  return emit(std::optional<TransitionId>(std::nullopt), next, std::uint64_t{1});
+  return emit(std::optional<TransitionId>(std::nullopt), next_words, std::uint64_t{1});
 }
 
 }  // namespace pnut::analysis::detail

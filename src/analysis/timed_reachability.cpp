@@ -39,13 +39,11 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
                         detail::segment_bytes_for(options.spill.segment_bytes, budget / 3),
                         budget / 3);
   }
-  std::vector<std::uint32_t> scratch(layout.width());
-
-  {
-    const detail::TimedState initial = detail::timed_initial_state(net, layout);
-    detail::encode_timed(layout, initial, scratch);
-    store_.intern(scratch);
-  }
+  // Initial state: initial marking, full timers, nothing in flight (canonical).
+  detail::TimedScratch scratch(layout);
+  std::ranges::copy(Marking::initial(net.net()).tokens(), scratch.next.begin());
+  std::ranges::copy(layout.enabling_delay, scratch.next.begin() + net.num_places());
+  store_.intern(scratch.next);
 
   detail::TimedSchedule schedule;
   schedule.bootstrap();
@@ -75,13 +73,11 @@ void TimedReachabilityGraph::explore(const TimedReachOptions& options) {
         continue;
       }
     }
-    const detail::TimedState s = detail::decode_timed(layout, store_.state(si));
     const bool completed = detail::for_each_timed_successor(
-        net, layout, s,
-        [&](std::optional<TransitionId> label, const detail::TimedState& succ,
+        net, layout, store_.state(si), scratch,
+        [&](std::optional<TransitionId> label, std::span<const std::uint32_t> succ,
             std::uint64_t cost) {
-          detail::encode_timed(layout, succ, scratch);
-          const auto interned = store_.intern(scratch);
+          const auto interned = store_.intern(succ);
           edges_.add(Edge{label, interned.index});
           return schedule.record(interned.index, interned.inserted, cost, store_.size(),
                                  options);

@@ -22,14 +22,14 @@
 //   [ marking tokens | per-transition remaining enabling delay |
 //     per-(transition, remaining-cycles) in-flight firing counts ]
 // — a canonical encoding (the in-flight multiset becomes counts indexed by
-// remaining time), so interning needs no strings and no sorting; the
-// encoding and the successor rule live in analysis/timed_encode.h. Edges
-// are one flat CSR pool. Width grows with the sum of firing delays;
-// together with the timer words this keeps the analyzer's practical
-// envelope at controller-sized nets (tens of places, delays up to ~10) —
-// the paper's [RP84] tool had the same envelope. Exploration is bounded by
-// max_states and max_time, and runs the 0-1 BFS on a two-bucket scheduler
-// (detail::TimedSchedule).
+// remaining time), so interning needs no strings and no sorting. The
+// builder expands states in place on these words, with no decoded working
+// form (the kernel, and why it is exact: analysis/timed_encode.h). Edges
+// are one flat CSR pool. Width is places + transitions + the sum of firing
+// delays, at most kMaxTimedStateWords: wider nets, and delays of 2^32 ticks
+// or more, are rejected with std::out_of_range naming the transition. The
+// 0-1 BFS is bounded by max_states and max_time and runs on a two-bucket
+// scheduler (detail::TimedSchedule).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +48,10 @@
 #include "util/stop.h"
 
 namespace pnut::analysis {
+
+/// Widest timed state accepted, in words; the shipped and benchmarked timed
+/// models are all under 200.
+inline constexpr std::size_t kMaxTimedStateWords = 4096;
 
 struct TimedReachOptions {
   std::size_t max_states = 100'000;
@@ -90,7 +94,9 @@ class TimedReachabilityGraph {
 
   /// Throws std::invalid_argument if any delay is not a non-negative
   /// integer constant, or if the net is interpreted (predicates/actions) —
-  /// timed analysis is defined on the uninterpreted timing skeleton.
+  /// timed analysis is defined on the uninterpreted timing skeleton — and
+  /// std::out_of_range, naming the transition, if a delay reaches 2^32 ticks
+  /// or a state would be wider than kMaxTimedStateWords.
   explicit TimedReachabilityGraph(const Net& net, TimedReachOptions options = {});
   explicit TimedReachabilityGraph(std::shared_ptr<const CompiledNet> net,
                                   TimedReachOptions options = {});

@@ -703,6 +703,8 @@ struct Session::Impl {
           << '\n';
     } catch (const std::invalid_argument&) {
       out << "timed reachability: skipped (non-integer delays or interpreted net)\n";
+    } catch (const std::out_of_range& e) {  // delays too long for the word layout
+      out << "timed reachability: skipped (" << e.what() << ")\n";
     }
 
     // Analytic cycle time when the structure allows it.

@@ -14,14 +14,7 @@ Marking Marking::initial(const Net& net) {
   return m;
 }
 
-void Marking::add(PlaceId p, TokenCount n) {
-  TokenCount& slot = tokens_.at(p.value);
-  if (slot > std::numeric_limits<TokenCount>::max() - n) {
-    throw std::overflow_error("Marking::add: token count overflow on place " +
-                              std::to_string(p.value));
-  }
-  slot += n;
-}
+void Marking::add(PlaceId p, TokenCount n) { add_tokens(tokens_.at(p.value), p, n); }
 
 void Marking::remove(PlaceId p, TokenCount n) {
   TokenCount& slot = tokens_.at(p.value);

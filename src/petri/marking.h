@@ -9,7 +9,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,16 @@
 #include "petri/net.h"
 
 namespace pnut {
+
+/// Deposit `n` tokens into `slot`, the token count of place `p` in a Marking
+/// or in a word-encoded analysis state; throws std::overflow_error on wrap.
+inline void add_tokens(TokenCount& slot, PlaceId p, TokenCount n) {
+  if (slot > std::numeric_limits<TokenCount>::max() - n) {
+    throw std::overflow_error("Marking::add: token count overflow on place " +
+                              std::to_string(p.value));
+  }
+  slot += n;
+}
 
 class Marking {
  public:

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 
+#include "petri/marking.h"
 #include "sim/event_queue.h"
 
 namespace pnut {
@@ -283,14 +283,7 @@ struct LaneRun {
     slot -= n;
   }
 
-  void add_tokens(PlaceId p, TokenCount n) {
-    TokenCount& slot = marking[p.value];
-    if (slot > std::numeric_limits<TokenCount>::max() - n) {
-      throw std::overflow_error("Marking::add: token count overflow on place " +
-                                std::to_string(p.value));
-    }
-    slot += n;
-  }
+  void add_tokens(PlaceId p, TokenCount n) { pnut::add_tokens(marking[p.value], p, n); }
 
   // --- firing ---------------------------------------------------------------
 

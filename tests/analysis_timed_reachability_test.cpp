@@ -1,9 +1,16 @@
 // Unit tests for the timed reachability analyzer ([RP84]).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
+#include "../bench/reach_models.h"
 #include "analysis/timed_reachability.h"
 #include "pipeline/model.h"
 #include "sim/simulator.h"
+#include "support/net_fuzz.h"
 
 namespace pnut::analysis {
 namespace {
@@ -282,6 +289,67 @@ TEST(TimedReach, RejectsNonIntegerAndInterpretedNets) {
   EXPECT_THROW(TimedReachabilityGraph{net3}, std::invalid_argument);
 }
 
+/// Message of the std::out_of_range the builder throws for `net`, or "".
+std::string out_of_range_message(const Net& net) {
+  try {
+    const TimedReachabilityGraph graph(net);
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// p -> q with the given firing time; one more place/transition pair r -> s
+/// when `second_firing` is set.
+Net long_delay_net(Time firing, std::optional<Time> second_firing = std::nullopt) {
+  Net net;
+  const PlaceId p = net.add_place("p", 1);
+  const PlaceId q = net.add_place("q");
+  const TransitionId a = net.add_transition("a");
+  net.add_input(a, p);
+  net.add_output(a, q);
+  net.set_firing_time(a, DelaySpec::constant(firing));
+  if (second_firing) {
+    const PlaceId r = net.add_place("r", 1);
+    const PlaceId s = net.add_place("s");
+    const TransitionId b = net.add_transition("b");
+    net.add_input(b, r);
+    net.add_output(b, s);
+    net.set_firing_time(b, DelaySpec::constant(*second_firing));
+  }
+  return net;
+}
+
+TEST(TimedReach, RejectsDelaysTooLongForTheWordLayout) {
+  // In-flight offsets summed in 32 bits wrapped this layout to 20 words,
+  // and the builder read past each state.
+  EXPECT_EQ(out_of_range_message(long_delay_net(4294967290.0, 20.0)),
+            "transition 'a' has firing time 4294967290: a timed state would be wider "
+            "than 4096 words");
+  // No wrap, but a 100M-word state: rejected before anything is allocated.
+  EXPECT_EQ(out_of_range_message(long_delay_net(1e8)),
+            "transition 'a' has firing time 100000000: a timed state would be wider than "
+            "4096 words");
+  // 2^32 does not fit a timer or in-flight word.
+  Net enabling = long_delay_net(0);
+  enabling.set_enabling_time(enabling.transition_named("a"), DelaySpec::constant(5e9));
+  EXPECT_EQ(out_of_range_message(enabling),
+            "transition 'a' has enabling time 2^32 or more: timed states hold delays in "
+            "32-bit words");
+  // The cap is inclusive: 2 places + 1 timer + 4093 in-flight slots build.
+  TimedReachOptions options;
+  options.max_time = 2;
+  const TimedReachabilityGraph at_cap(long_delay_net(4093), options);
+  EXPECT_EQ(at_cap.state_words(0).size(), kMaxTimedStateWords);
+  EXPECT_EQ(at_cap.num_states(), 5u);  // start, fired, ticks to 1 past the horizon
+  EXPECT_NE(out_of_range_message(long_delay_net(4094)), "");
+  // Places and timers alone can exceed the cap too.
+  Net wide = long_delay_net(0, 0);
+  for (int i = 0; i < 4093; ++i) wide.add_place("w" + std::to_string(i));
+  EXPECT_EQ(out_of_range_message(wide),
+            "4097 places and 2 transitions: a timed state would be wider than 4096 words");
+}
+
 TEST(TimedReach, TruncationAtHorizon) {
   // An endless 1-cycle loop explored with a tiny horizon.
   Net net;
@@ -371,6 +439,87 @@ TEST(TimedReach, CompleteGraphStillReportsTrueDeadlocks) {
   const auto deadlocks = graph.deadlock_states();
   ASSERT_EQ(deadlocks.size(), 1u);
   EXPECT_EQ(graph.marking(deadlocks[0])[b], 1u);
+}
+
+// --- golden fingerprints ------------------------------------------------------
+//
+// The reference oracle (analysis_timed_reference_test.cpp) compares graphs
+// order-free, so it cannot see a change in the canonical numbering. These
+// fingerprints can: an FNV-1a hash over, in state-id order, each state's
+// words, earliest time, expanded flag and edge row (label, target), plus
+// the status. The values were recorded from the builder that decoded each
+// state into a vector-based working form, before the in-place word kernel
+// replaced it.
+
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+std::uint64_t fingerprint(const TimedReachabilityGraph& g) {
+  Fnv f;
+  f.add(static_cast<std::uint64_t>(g.status()));
+  f.add(g.num_states());
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    for (const std::uint32_t w : g.state_words(s)) f.add(w);
+    f.add(g.earliest_time(s));
+    f.add(g.state_expanded(s) ? 1 : 0);
+    const auto row = g.edges(s);
+    f.add(row.size());
+    for (const auto& e : row) {
+      f.add(e.transition ? e.transition->value : UINT32_MAX);
+      f.add(e.target);
+    }
+  }
+  return f.h;
+}
+
+void expect_fingerprint(const Net& net, const TimedReachOptions& options,
+                        std::uint64_t want, const std::string& label) {
+  const TimedReachabilityGraph g(net, options);
+  EXPECT_EQ(fingerprint(g), want) << label << " (" << g.num_states() << " states)";
+}
+
+TEST(TimedReachGolden, Fingerprints) {
+  const TimedReachOptions plain;
+  expect_fingerprint(pipeline::build_prefetch_model(), plain, 0xe8e4119e4018551aull, "fig1");
+  expect_fingerprint(pipeline::build_full_model(), plain, 0x537eb2f3b5bd93cdull, "full");
+  const Net race = reach_models::timed_race_ring(8, 4);
+  expect_fingerprint(race, plain, 0xdabab5b21197faefull, "race ring 8x4");
+  TimedReachOptions cap;
+  cap.max_states = 153;
+  expect_fingerprint(race, cap, 0x1ea8cd114ad9fc5dull, "race ring 8x4, max_states 153");
+  TimedReachOptions horizon;
+  horizon.max_time = 7;
+  expect_fingerprint(race, horizon, 0x0ad9905fb7f126bdull, "race ring 8x4, max_time 7");
+}
+
+TEST(TimedReachGolden, PromotingFuzzFingerprints) {
+  // The seeds whose builds promote a staged state into the current instant
+  // (see TimedReferenceEquivalence.FuzzedPromotingSkeletons).
+  test_support::FuzzOptions fuzz;
+  fuzz.timed_integer = true;
+  TimedReachOptions options;
+  options.max_time = 300;
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {125, 0xb28393ca2a284bafull},
+      {164, 0xac54b789cb36dd6full},
+      {920, 0x401c28876888beb6ull},
+      {932, 0xf7583993854eb527ull},
+      {1053, 0x5d76859c08e559b5ull},
+      {1353, 0xa40c4b5cbba96d2dull},
+      {1473, 0x0ec52c473a3b41f2ull},
+      {2400, 0x2f77c535ab8dfaf4ull},
+  };
+  for (const auto& [seed, want] : golden) {
+    expect_fingerprint(test_support::fuzz_net(seed, fuzz), options, want,
+                       "promoting fuzz seed=" + std::to_string(seed));
+  }
 }
 
 }  // namespace

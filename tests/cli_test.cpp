@@ -426,6 +426,31 @@ TEST_F(CliTest, AnalyzeSkipsTimedSectionForStochasticDelays) {
   EXPECT_NE(r.out.find("timed reachability: skipped"), std::string::npos);
 }
 
+TEST_F(CliTest, AnalyzeSkipsTimedSectionForDelaysTooLongForTheLayout) {
+  // A wrapped 32-bit offset sum (heap overflow before) and a 100M-word
+  // state (out of memory before): both skip with the reason and exit 0.
+  const std::string wrap_path = (dir_ / "wrap.pn").string();
+  std::ofstream(wrap_path) << "place p init 1\nplace q\nplace r init 1\nplace s\n"
+                              "trans a in p out q firing 4294967290\n"
+                              "trans b in r out s firing 20\n";
+  Result r = run_cli({"analyze", wrap_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("reachability: 4 states"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("timed reachability: skipped (transition 'a' has firing time "
+                       "4294967290: a timed state would be wider than 4096 words)\n"),
+            std::string::npos)
+      << r.out;
+
+  const std::string long_path = (dir_ / "long.pn").string();
+  std::ofstream(long_path) << "place p init 1\nplace q\ntrans a in p out q firing 100000000\n";
+  r = run_cli({"analyze", long_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("timed reachability: skipped (transition 'a' has firing time "
+                       "100000000: a timed state would be wider than 4096 words)\n"),
+            std::string::npos)
+      << r.out;
+}
+
 TEST_F(CliTest, SpillFlagsGiveIdenticalAnswersAndCleanUpSegments) {
   // A 1K residency budget on this model forces real spilling, the query
   // answer matches the in-RAM build exactly, and the uniquely named

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "../bench/reach_models.h"
+#include "analysis/timed_reachability.h"
 #include "sim/simulator.h"
 #include "stat/stat.h"
 #include "textio/pn_format.h"
@@ -157,6 +158,20 @@ TEST(SimAllocFree, FilteredRunIsAllocationFree) {
   const std::uint64_t allocations = steady_state_allocations(net, 3, &starts, "Bus_busy");
   EXPECT_GT(starts, 10'000U);
   EXPECT_EQ(allocations, 0U) << "over " << starts << " firings";
+}
+
+TEST(TimedExploreAllocations, AllocatesPerBufferGrowthNotPerState) {
+  // The timed builder expands each state in place on its interned words:
+  // allocations come from growing the arena, the intern table, the edge
+  // pool and the schedule, not from states or successors.
+  const Net net = reach_models::timed_race_ring(9, 3);  // 12,876 states
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const analysis::TimedReachabilityGraph graph(net);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_EQ(graph.status(), analysis::TimedReachStatus::kComplete);
+  EXPECT_GT(graph.num_states(), 2'000U);
+  EXPECT_LT(allocations, graph.num_states() / 10)
+      << allocations << " allocations over " << graph.num_states() << " states";
 }
 
 }  // namespace
